@@ -131,11 +131,19 @@ class KeyScoreModel:
         return self
 
     def scores(self, keys: Sequence[Key]) -> np.ndarray:
-        """Return the score in ``[0, 1]`` for every key, in order."""
+        """Return the score in ``[0, 1]`` for every key, in order.
+
+        Each key's score is bit-identical whatever batch it is scored in:
+        the logit is an elementwise product summed along the row, a
+        reduction that depends only on that row.  (A BLAS matrix-vector
+        product's last bit depends on how many rows it is given, and the
+        learned filters set thresholds from batch scores at build time but
+        score one key at a time in ``contains``.)
+        """
         if not len(keys):
             return np.zeros(0)
         features = self._featurize(list(keys))
-        logits = features @ self._weights + self._bias
+        logits = (features * self._weights).sum(axis=1) + self._bias
         return 1.0 / (1.0 + np.exp(-logits))
 
     def score(self, key: Key) -> float:

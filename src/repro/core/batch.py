@@ -22,8 +22,11 @@ filters:
   from the HashExpressor (Bloom round 2).  For a
   :class:`~repro.hashing.double_hashing.DoubleHashFamily` this collapses to
   one vectorized multiply-add off the shared h1/h2 base pass; for a table
-  family the keys are grouped by selected function so each primitive runs
-  once per distinct index, not once per key.
+  family the keys are grouped by selected function and each group hashes
+  only its own rows, so each primitive runs once per distinct index over
+  that index's rows.  Round 2 is sparse — most first-round misses carry no
+  selection — so it never pays a pass over the whole serving window
+  (see invariant 3 in ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -125,41 +128,23 @@ def positions_for_selection(family, batch: "vec.KeyBatch", selection: Sequence[i
     return family.hash_many(batch, indexes=list(selection), modulus=modulus)
 
 
-#: Batches at or below this size always take the memoised whole-batch pass:
-#: a vectorized pass over so few keys is dominated by fixed numpy overhead,
-#: so the reuse across engine stages is free.
-_MEMO_BATCH_LIMIT = 1024
-
-#: For larger batches, a group only takes the whole-batch pass when it covers
-#: at least this fraction of the batch (the extra rows are nearly free and
-#: later stages reuse the memo); smaller groups hash just their own rows.
-_MEMO_GROUP_FRACTION = 0.6
-
-
 def _positions_for_group(family, batch, family_index: int, group_rows, modulus: int):
     """Positions of the keys at ``group_rows`` under one family member.
 
-    The HashExpressor chain walk and the HABF second round touch the same few
-    family indexes repeatedly, so whole-batch passes memoised on the batch
-    amortise well — but only when the group is a sizeable share of the batch
-    (or the batch is small enough that a pass costs fixed overhead anyway).
-    Otherwise hashing the group's own rows is strictly less work; ``take``
-    slices numpy state only, so the subset costs no Python-level per-row
-    effort.
+    The HashExpressor chain walk and the HABF second round are sparse: each
+    family-index group holds a few of the window's rows.  The group reads
+    the member's pass when the window already holds it (a stage that needed
+    every row memoised it there, e.g. an H0 member), and otherwise hashes
+    only its own rows — the scalar loop at or below
+    :data:`~repro.hashing.vectorized.SCALAR_CROSSOVER_ROWS` — never a
+    whole-window pass (see :func:`~repro.hashing.vectorized.hash_rows`).
     """
-    np = vec.numpy_or_none()
-    cache_key = ("family-index-positions", id(family), family_index, modulus)
-    full = batch.cache.get(cache_key)
-    if full is not None:
-        return full[group_rows]
-    total = len(batch)
-    if total > _MEMO_BATCH_LIMIT and group_rows.size < _MEMO_GROUP_FRACTION * total:
-        return np.asarray(
-            family[family_index].hash_many(batch.take(group_rows), modulus)
-        )
-    full = family[family_index].hash_many(batch, modulus)
-    batch.cache[cache_key] = full
-    return full[group_rows]
+    function = family[family_index]
+    group = batch.take(group_rows)
+    # Memoise the group's own rows first, so hash_many below reads them
+    # instead of starting a pass over the whole window.
+    vec.hash_rows(function.primitive, group)
+    return function.hash_many(group, modulus)
 
 
 def positions_for_matrix(family, batch: "vec.KeyBatch", selection_matrix, modulus: int, rows=None):
@@ -168,10 +153,10 @@ def positions_for_matrix(family, batch: "vec.KeyBatch", selection_matrix, modulu
     ``selection_matrix`` is ``(m, k)`` of family indexes — row ``i`` is the
     customised selection (as recovered from the HashExpressor) of the key at
     batch row ``rows[i]`` (``rows=None`` means rows ``0..m-1``, i.e. the
-    whole batch).  Returns positions of the same shape.  Passing ``rows``
-    instead of a ``batch.take`` sub-batch keeps the per-index hash memo on
-    the *parent* batch, so the chain walk and the second-round probe share
-    one vectorized pass per family index.
+    whole batch).  Returns positions of the same shape.  A table family is
+    hashed per family-index group, each group only over its own rows (see
+    :func:`_positions_for_group`); a double-hashing family derives every
+    column from the batch's one memoised base pass.
     """
     np = vec.numpy_or_none()
     selection_matrix = np.asarray(selection_matrix, dtype=np.int64)

@@ -92,7 +92,9 @@ class BitArray:
     # ------------------------------------------------------------------ #
     def _checked_index_vector(self, np, indices):
         index = np.asarray(indices, dtype=np.int64).ravel()
-        if index.size:
+        # Two reductions clear the common all-in-range case; the wrap and the
+        # per-entry check run only when an index is negative or too large.
+        if index.size and (index.min() < 0 or index.max() >= self._num_bits):
             index = np.where(index < 0, index + self._num_bits, index)
             bad = (index < 0) | (index >= self._num_bits)
             if bad.any():

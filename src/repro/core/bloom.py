@@ -20,6 +20,7 @@ from typing import Iterable, List, Optional, Sequence, Union
 from repro.core.batch import BatchMembership, positions_for_matrix, positions_for_selection
 from repro.core.bitarray import BitArray
 from repro.errors import ConfigurationError
+from repro.hashing import vectorized as vec
 from repro.hashing.base import Key
 from repro.hashing.double_hashing import DoubleHashFamily
 from repro.hashing.registry import GLOBAL_HASH_FAMILY, HashFamily
@@ -179,8 +180,6 @@ class BloomFilter(BatchMembership):
         numpy is absent, with identical resulting bits.
         """
         keys = list(keys)
-        from repro.hashing import vectorized as vec
-
         np = vec.numpy_or_none()
         if np is not None and keys:
             self._insert_selection_batch(vec.KeyBatch(keys), selection)
@@ -266,8 +265,6 @@ class BloomFilter(BatchMembership):
         rows all derive from one memoised base pass, so dropping rows saves
         almost nothing and would re-slice the batch per row.
         """
-        from repro.hashing import vectorized as vec
-
         np = vec.numpy_or_none()
         if isinstance(self._family, DoubleHashFamily):
             positions = positions_for_selection(

@@ -198,8 +198,6 @@ class HABF(BatchMembership):
         recovered = np.flatnonzero(valid)
         if not recovered.size:
             return answers
-        # Round 2 probes on the same `misses` batch object (rows=recovered)
-        # so it reuses the per-family-index hashes the chain walk memoised.
         answers[missed[recovered]] = self._bloom._probe_matrix(
             misses, selections[recovered], rows=recovered
         )

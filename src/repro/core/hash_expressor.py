@@ -78,6 +78,10 @@ class HashExpressor:
         self._hash_index: List[int] = [0] * num_cells
         self._endbit: List[bool] = [False] * num_cells
         self._inserted_keys = 0
+        # numpy twins of the two cell lists for the batch query, derived on
+        # first use.  try_insert (the only mutator) drops them; codec decode
+        # fills the lists of a fresh expressor before anything can query it.
+        self._cell_arrays = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -159,6 +163,7 @@ class HashExpressor:
         last_cell = plan[-1][0]
         self._endbit[last_cell] = True
         self._inserted_keys += 1
+        self._cell_arrays = None
         return True
 
     def can_insert(self, key: Key, selection: Sequence[int]) -> bool:
@@ -257,12 +262,16 @@ class HashExpressor:
         """Vector form of :meth:`query` over an encoded batch.
 
         Walks all chains in lock-step: one iteration per chain position, each
-        doing whole-batch array reads of the cell table plus one grouped hash
-        pass for the next-cell addresses.  Returns ``(selections, valid)``
-        where ``selections`` is an ``(n, k)`` int64 matrix and ``valid`` a
-        bool vector — row ``r`` is meaningful only where ``valid[r]`` is
-        True; everywhere else the key falls back to ``H0`` (the scalar
-        ``None``).  Requires numpy (callers gate on the engine).
+        doing whole-batch array reads of the cell table plus a hash of the
+        next-cell addresses for the chains still alive only — grouped by
+        family index, each group over its own rows (a sparse stage: most
+        chains die on an empty cell).  The cell table's numpy arrays are
+        built once per expressor, not per call.  Returns
+        ``(selections, valid)`` where ``selections`` is an ``(n, k)`` int64
+        matrix and ``valid`` a bool vector — row ``r`` is meaningful only
+        where ``valid[r]`` is True; everywhere else the key falls back to
+        ``H0`` (the scalar ``None``).  Requires numpy (callers gate on the
+        engine).
         """
         if k < 1:
             raise ConfigurationError("k must be at least 1")
@@ -270,7 +279,12 @@ class HashExpressor:
 
         np = vec.numpy_or_none()
         n = len(batch)
-        hash_index = np.asarray(self._hash_index, dtype=np.int64)
+        if self._cell_arrays is None:
+            self._cell_arrays = (
+                np.asarray(self._hash_index, dtype=np.int64),
+                np.asarray(self._endbit, dtype=bool),
+            )
+        hash_index, endbit = self._cell_arrays
         cell = np.asarray(
             _UNIFIED_HASH.hash_many(batch, self._num_cells), dtype=np.int64
         )
@@ -289,7 +303,7 @@ class HashExpressor:
                 cell[live] = hash_for_index_vector(
                     self._family, batch, family_index[live], self._num_cells, rows=live
                 ).astype(np.int64)
-        valid = alive & np.asarray(self._endbit, dtype=bool)[cell]
+        valid = alive & endbit[cell]
         if k > 1:
             ordered = np.sort(selections, axis=1)
             # A chain that revisits a hash cannot belong to an inserted key.

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.hashing import vectorized as vec
 from repro.hashing.base import HashFunction, Key, mix64, normalize_key
 from repro.hashing.primitives import PRIMITIVES
 
@@ -53,8 +54,6 @@ class SimulatedHash:
         """
         if modulus < 0:
             raise ValueError("modulus must be positive (or 0 for no reduction)")
-        from repro.hashing import vectorized as vec
-
         np = vec.numpy_or_none()
         if np is None or self.family is None:
             if modulus:
@@ -151,16 +150,23 @@ class DoubleHashFamily:
         two vectors with one multiply-add, so a k-probe query hashes each key
         once instead of k times.  Memoised on the batch.
         """
-        from repro.hashing import vectorized as vec
-
         np = vec.numpy_or_none()
-        cache_key = ("double-bases", id(self))
+        # Keyed by what the bases depend on, not by family identity: the
+        # shards of one store build equal families, so a serving window's
+        # shard groups all slice the bases computed once on the window.
+        cache_key = ("double-bases", self._base, self._salt1, self._salt2)
         cached = batch.cache.get(cache_key)
         if cached is None:
-            raw = vec.hash_batch(self._base, batch)
-            h1 = vec.mix64(raw ^ np.uint64(self._salt1))
-            h2 = vec.mix64(raw ^ np.uint64(self._salt2))
-            cached = (h1, h2)
+            window = vec.window_of(batch)
+            if window is not None:
+                root, rows = window
+                h1, h2 = self.base_hashes_many(root)
+                cached = (h1[rows], h2[rows])
+            else:
+                raw = vec.hash_batch(self._base, batch)
+                salts = np.array([[self._salt1], [self._salt2]], dtype=np.uint64)
+                h1, h2 = vec.mix64(raw ^ salts)
+                cached = (h1, h2)
             batch.cache[cache_key] = cached
         return cached
 
@@ -172,8 +178,6 @@ class DoubleHashFamily:
         per-function scalar lists when numpy is unavailable.
         """
         chosen = list(indexes) if indexes is not None else list(range(len(self)))
-        from repro.hashing import vectorized as vec
-
         np = vec.numpy_or_none()
         if np is None:
             return [self._functions[i].hash_many(keys, modulus) for i in chosen]
@@ -181,12 +185,9 @@ class DoubleHashFamily:
         if not chosen:
             return np.zeros((0, len(batch)), dtype=np.uint64)
         h1, h2 = self.base_hashes_many(batch)
-        odd = h2 | np.uint64(1)
-        rows = []
-        for i in chosen:
-            values = h1 + np.uint64(self._functions[i].step) * odd
-            rows.append(values % np.uint64(modulus) if modulus else values)
-        return np.stack(rows)
+        steps = np.array([self._functions[i].step for i in chosen], dtype=np.uint64)
+        values = h1 + steps[:, None] * (h2 | np.uint64(1))
+        return values % np.uint64(modulus) if modulus else values
 
 
 def double_hashing_family(size: int, primitive: str = "xxhash", seed: int = 0) -> DoubleHashFamily:

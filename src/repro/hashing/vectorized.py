@@ -81,13 +81,14 @@ class KeyBatch:
             object identity, which is safe because the cached-for object is
             referenced by the filter for the duration of the call).
 
-    A sub-batch from :meth:`take` slices only the numpy state eagerly; its
-    ``keys``/``data`` lists materialise lazily from the parent, so engine
-    stages that subset purely for vectorized hashing never pay Python-level
-    per-row work.
+    A sub-batch from :meth:`take` indexes the *root* batch its chain of
+    takes started from (the serving window) and slices only the numpy state
+    eagerly; its ``keys``/``data`` lists materialise lazily from the root,
+    so engine stages that subset purely for vectorized hashing never pay
+    Python-level per-row work.
     """
 
-    __slots__ = ("_keys", "_data", "matrix", "lengths", "cache", "_matrix64", "_parent", "_rows")
+    __slots__ = ("_keys", "_data", "matrix", "lengths", "cache", "_matrix64", "_root", "_rows")
 
     def __init__(self, keys: Sequence[Key]) -> None:
         if np is None:  # pragma: no cover - callers gate on numpy_or_none()
@@ -96,16 +97,13 @@ class KeyBatch:
         data = [normalize_key(key) for key in self._keys]
         self._data: Optional[List[bytes]] = data
         n = len(data)
-        max_len = max((len(d) for d in data), default=0)
-        buffer = bytearray(n * max_len)
-        for row, d in enumerate(data):
-            start = row * max_len
-            buffer[start : start + len(d)] = d
-        self.matrix = np.frombuffer(bytes(buffer), dtype=np.uint8).reshape(n, max_len)
-        self.lengths = np.fromiter((len(d) for d in data), dtype=np.int64, count=n)
+        self.lengths = np.fromiter(map(len, data), dtype=np.int64, count=n)
+        max_len = int(self.lengths.max()) if n else 0
+        buffer = b"".join([d.ljust(max_len, b"\0") for d in data])
+        self.matrix = np.frombuffer(buffer, dtype=np.uint8).reshape(n, max_len)
         self.cache: Dict = {}
         self._matrix64 = None
-        self._parent: Optional["KeyBatch"] = None
+        self._root: Optional["KeyBatch"] = None
         self._rows = None
 
     def __len__(self) -> int:
@@ -113,31 +111,37 @@ class KeyBatch:
 
     @property
     def keys(self) -> List[Key]:
-        """The original keys (materialised from the parent on first access)."""
+        """The original keys (materialised from the root on first access)."""
         if self._keys is None:
-            self._keys = [self._parent.keys[int(i)] for i in self._rows]
+            keys = self._root.keys
+            self._keys = [keys[i] for i in self._rows.tolist()]
         return self._keys
 
     @property
     def data(self) -> List[bytes]:
-        """The canonical key bytes (materialised from the parent on first access)."""
+        """The canonical key bytes (materialised from the root on first access)."""
         if self._data is None:
-            self._data = [self._parent.data[int(i)] for i in self._rows]
+            data = self._root.data
+            self._data = [data[i] for i in self._rows.tolist()]
         return self._data
 
     def take(self, indices) -> "KeyBatch":
         """Return a sub-batch holding the rows at ``indices`` (no re-encode).
 
-        Numpy state is sliced immediately (C-speed fancy indexing);
-        ``keys``/``data`` stay references into this batch until someone
-        actually reads them.
+        Sub-batches index the root window: a take of a take composes its row
+        indices onto the batch the chain started from, so every level —
+        shard groups, H0 survivors, second-round misses, family-index
+        groups — reads the hash passes memoised on that one window (see
+        :func:`hash_batch`).  Numpy state is sliced immediately (C-speed
+        fancy indexing); ``keys``/``data`` stay references into the root
+        until someone actually reads them.
         """
         rows = np.asarray(indices, dtype=np.intp)
         sub = KeyBatch.__new__(KeyBatch)
         sub._keys = None
         sub._data = None
-        sub._parent = self
-        sub._rows = rows
+        sub._root = self if self._root is None else self._root
+        sub._rows = rows if self._root is None else self._rows[rows]
         sub.matrix = self.matrix[rows]
         sub.lengths = self.lengths[rows]
         sub.cache = {}
@@ -148,9 +152,11 @@ class KeyBatch:
     def matrix64(self):
         """The byte matrix widened to uint64, built lazily and kept.
 
-        Every primitive reads byte columns as uint64 operands; widening the
-        matrix once per batch replaces thousands of per-column ``astype``
-        calls in the column loops.
+        The byte-at-a-time primitives read byte columns as uint64 operands;
+        widening the matrix once per batch replaces thousands of per-column
+        ``astype`` calls in the column loops.  The word-at-a-time primitives
+        read words of the uint8 matrix through :func:`_le_words` instead,
+        so a batch that only they hash never pays the 8x widened copy.
         """
         if self._matrix64 is None:
             self._matrix64 = self.matrix.astype(np.uint64)
@@ -187,7 +193,7 @@ class KeyBatch:
         merged = cls.__new__(cls)
         merged._keys = [key for part in parts for key in part.keys]
         merged._data = [data for part in parts for data in part.data]
-        merged._parent = None
+        merged._root = None
         merged._rows = None
         merged.matrix = matrix
         merged.lengths = lengths
@@ -246,43 +252,36 @@ def _columns(batch: KeyBatch):
         yield lengths > j, matrix[:, j]
 
 
-def _le_word(batch: KeyBatch, start: int, nbytes: int):
-    """Little-endian integer of ``nbytes`` contiguous columns from ``start``."""
-    matrix = batch.matrix64
-    word = matrix[:, start].copy()
-    for offset in range(1, nbytes):
-        word |= matrix[:, start + offset] << np.uint64(8 * offset)
-    return word
+def _le_words(batch: KeyBatch, nbytes: int):
+    """``(n, width // nbytes)`` little-endian words of each key's aligned blocks.
 
-
-def _tail_byte(batch: KeyBatch, offsets, valid):
-    """Gather one byte per key at per-key ``offsets``; 0 where not ``valid``.
-
-    Out-of-range offsets of invalid rows are clipped before the gather so the
-    fancy index stays in bounds.
+    Column ``b`` holds bytes ``b*nbytes .. b*nbytes+nbytes-1`` of every key:
+    one reinterpreting view of the byte matrix, so the word-at-a-time loops
+    assemble no word from byte columns.
     """
-    matrix = batch.matrix64
-    width = matrix.shape[1]
+    matrix = batch.matrix
+    blocks = matrix.shape[1] // nbytes
+    aligned = np.ascontiguousarray(matrix[:, : blocks * nbytes])
+    return aligned.view(f"<u{nbytes}").astype(np.uint64)
+
+
+def _tail_words(batch: KeyBatch, offsets, remaining, count: int, nbytes: int = 1):
+    """``(n, count // nbytes)`` little-endian words of the ``count`` bytes at ``offsets``.
+
+    Byte ``p`` of a key reads as 0 where ``p >= remaining``, mirroring the
+    scalar pattern ``int.from_bytes(data[i:], "little")`` with implicit zero
+    padding.  One gather covers every tail position; out-of-range offsets
+    of masked bytes are clipped so the fancy index stays in bounds.
+    """
+    matrix = batch.matrix
+    n, width = matrix.shape
     if width == 0:
-        return np.zeros(len(batch), dtype=np.uint64)
-    safe = np.minimum(np.maximum(offsets, 0), width - 1)
-    rows = np.arange(len(batch))
-    gathered = matrix[rows, safe]
-    return np.where(valid, gathered, np.uint64(0))
-
-
-def _tail_le_word(batch: KeyBatch, offsets, nbytes: int, remaining):
-    """Little-endian word of up to ``nbytes`` per-key tail bytes.
-
-    Byte ``p`` of the word comes from ``offsets + p`` where ``p < remaining``,
-    mirroring the scalar pattern ``int.from_bytes(data[i:], "little")`` with
-    implicit zero padding.
-    """
-    word = np.zeros(len(batch), dtype=np.uint64)
-    for p in range(nbytes):
-        byte = _tail_byte(batch, offsets + p, remaining > p)
-        word |= byte << np.uint64(8 * p)
-    return word
+        return np.zeros((n, count // nbytes), dtype=np.uint64)
+    span = np.arange(count)
+    index = np.clip(offsets[:, None] + span, 0, width - 1)
+    gathered = matrix[np.arange(n)[:, None], index]
+    tail = np.where(span < remaining[:, None], gathered, np.uint8(0))
+    return tail.view(f"<u{nbytes}").astype(np.uint64)
 
 
 # --------------------------------------------------------------------- #
@@ -452,21 +451,19 @@ def murmur3(batch: KeyBatch):
     c1, c2 = np.uint64(0xCC9E2D51), np.uint64(0x1B873593)
     lengths = batch.lengths
     value = _full(batch, 0x9747B28C)
-    for block in range(batch.matrix.shape[1] // 4):
-        offset = block * 4
-        mask = lengths >= offset + 4
-        k = (_le_word(batch, offset, 4) * c1) & _MASK32
-        k = (_rotl32(k, 15) * c2) & _MASK32
-        v = _rotl32(value ^ k, 13)
+    # The per-word scramble does not depend on the running value, so it runs
+    # once over every block of every key.
+    words = (_le_words(batch, 4) * c1) & _MASK32
+    words = (_rotl32(words, 15) * c2) & _MASK32
+    for block in range(words.shape[1]):
+        mask = lengths >= (block + 1) * 4
+        v = _rotl32(value ^ words[:, block], 13)
         v = (v * np.uint64(5) + np.uint64(0xE6546B64)) & _MASK32
         value = np.where(mask, v, value)
     rounded = (lengths - (lengths % 4)).astype(np.int64)
     remaining = lengths - rounded
-    k = np.zeros(len(batch), dtype=np.uint64)
-    k = np.where(remaining >= 3, k ^ (_tail_byte(batch, rounded + 2, remaining >= 3) << np.uint64(16)), k)
-    k = np.where(remaining >= 2, k ^ (_tail_byte(batch, rounded + 1, remaining >= 2) << np.uint64(8)), k)
     has_tail = remaining >= 1
-    k = np.where(has_tail, k ^ _tail_byte(batch, rounded, has_tail), k)
+    k = _tail_words(batch, rounded, remaining, 4, 4)[:, 0]
     k = (k * c1) & _MASK32
     k = (_rotl32(k, 15) * c2) & _MASK32
     value = np.where(has_tail, value ^ k, value)
@@ -483,17 +480,16 @@ def cityhash(batch: KeyBatch):
     k2 = np.uint64(0x9AE16A3B2F90404F)
     lengths = batch.lengths
     value = lengths.astype(np.uint64) * k2
-    for block in range(batch.matrix.shape[1] // 8):
-        offset = block * 8
-        mask = lengths >= offset + 8
-        word = _le_word(batch, offset, 8)
-        v = _rotl64(value ^ (word * k2), 29)
+    words = _le_words(batch, 8) * k2
+    for block in range(words.shape[1]):
+        mask = lengths >= (block + 1) * 8
+        v = _rotl64(value ^ words[:, block], 29)
         v = v * np.uint64(5) + np.uint64(0x52DCE729)
         value = np.where(mask, v, value)
     rounded = (lengths - (lengths % 8)).astype(np.int64)
     remaining = lengths - rounded
     has_tail = remaining > 0
-    word = _tail_le_word(batch, rounded, 7, remaining)
+    word = _tail_words(batch, rounded, remaining, 8, 8)[:, 0]
     tailed = _rotl64(value ^ (word * np.uint64(0xB492B66FBE98F273)), 33)
     value = np.where(has_tail, tailed, value)
     value = value ^ (value >> np.uint64(47))
@@ -508,19 +504,20 @@ def xxhash(batch: KeyBatch):
     prime5 = np.uint64(0x27D4EB2F165667C5)
     lengths = batch.lengths
     value = prime5 + lengths.astype(np.uint64)
-    for block in range(batch.matrix.shape[1] // 8):
-        offset = block * 8
-        mask = lengths >= offset + 8
-        word = _le_word(batch, offset, 8)
-        v = value ^ (_rotl64(word * prime2, 31) * prime1)
-        v = _rotl64(v, 27) * prime1 + prime3
+    # Word and byte rounds scramble their input independently of the running
+    # value, so that part runs once over every block (and tail byte) of every key.
+    words = _rotl64(_le_words(batch, 8) * prime2, 31) * prime1
+    for block in range(words.shape[1]):
+        mask = lengths >= (block + 1) * 8
+        v = _rotl64(value ^ words[:, block], 27) * prime1 + prime3
         value = np.where(mask, v, value)
     rounded = (lengths - (lengths % 8)).astype(np.int64)
-    for p in range(7):
-        valid = rounded + p < lengths
-        byte = _tail_byte(batch, rounded + p, valid)
-        v = _rotl64(value ^ (byte * prime5), 11) * prime1
-        value = np.where(valid, v, value)
+    remaining = lengths - rounded
+    tail = _tail_words(batch, rounded, remaining, 7) * prime5
+    # Positions past every key's tail would leave ``value`` unchanged.
+    for p in range(int(remaining.max(initial=0))):
+        v = _rotl64(value ^ tail[:, p], 11) * prime1
+        value = np.where(remaining > p, v, value)
     value = value ^ (value >> np.uint64(33))
     value = value * prime2
     value = value ^ (value >> np.uint64(29))
@@ -531,11 +528,10 @@ def xxhash(batch: KeyBatch):
 def superfast(batch: KeyBatch):
     lengths = batch.lengths
     value = lengths.astype(np.uint64) & _MASK32
-    for chunk in range(batch.matrix.shape[1] // 4):
-        offset = chunk * 4
-        mask = lengths - offset >= 4
-        low = _le_word(batch, offset, 2)
-        high = _le_word(batch, offset + 2, 2)
+    halves = _le_words(batch, 2)
+    for chunk in range(halves.shape[1] // 2):
+        mask = lengths >= (chunk + 1) * 4
+        low, high = halves[:, 2 * chunk], halves[:, 2 * chunk + 1]
         v = (value + low) & _MASK32
         tmp = ((high << np.uint64(11)) ^ v) & _MASK32
         v = ((v << np.uint64(16)) ^ tmp) & _MASK32
@@ -543,9 +539,7 @@ def superfast(batch: KeyBatch):
         value = np.where(mask, v, value)
     start = ((lengths // 4) * 4).astype(np.int64)
     remaining = lengths - start
-    byte0 = _tail_byte(batch, start, remaining >= 1)
-    byte1 = _tail_byte(batch, start + 1, remaining >= 2)
-    byte2 = _tail_byte(batch, start + 2, remaining >= 3)
+    byte0, byte1, byte2 = _tail_words(batch, start, remaining, 3).T
     two_le = byte0 | (byte1 << np.uint64(8))
 
     v3 = (value + two_le) & _MASK32
@@ -598,12 +592,12 @@ def bob_jenkins(batch: KeyBatch):
     a = _full(batch, 0x9E3779B9)
     b = _full(batch, 0x9E3779B9)
     c = _full(batch, 0xDEADBEEF)
-    for block in range(batch.matrix.shape[1] // 12):
-        offset = block * 12
-        mask = lengths >= offset + 12
-        na = (a + _le_word(batch, offset, 4)) & _MASK32
-        nb = (b + _le_word(batch, offset + 4, 4)) & _MASK32
-        nc = (c + _le_word(batch, offset + 8, 4)) & _MASK32
+    words = _le_words(batch, 4)
+    for block in range(words.shape[1] // 3):
+        mask = lengths >= (block + 1) * 12
+        na = (a + words[:, 3 * block]) & _MASK32
+        nb = (b + words[:, 3 * block + 1]) & _MASK32
+        nc = (c + words[:, 3 * block + 2]) & _MASK32
         na, nb, nc = _jenkins_mix(na, nb, nc)
         a = np.where(mask, na, a)
         b = np.where(mask, nb, b)
@@ -612,9 +606,7 @@ def bob_jenkins(batch: KeyBatch):
     # zeros when the length is a multiple of 12), as in the scalar code.
     start = ((lengths // 12) * 12).astype(np.int64)
     remaining = lengths - start
-    word_a = _tail_le_word(batch, start, 4, remaining)
-    word_b = _tail_le_word(batch, start + 4, 4, remaining - 4)
-    word_c = _tail_le_word(batch, start + 8, 4, remaining - 8)
+    word_a, word_b, word_c = _tail_words(batch, start, remaining, 12, 4).T
     a = (a + word_a) & _MASK32
     b = (b + word_b) & _MASK32
     c = (c + word_c + lengths.astype(np.uint64)) & _MASK32
@@ -661,16 +653,16 @@ def batch_primitive_for(
     return _BY_CALLABLE.get(primitive)
 
 
-#: A sub-batch may answer a primitive by slicing its parent's pass.  When the
-#: parent has no cached pass yet, computing it there eagerly is still the
-#: right call while the parent stays window-sized: the Python column loop
-#: dominates at that scale and costs the same however many rows ride along,
-#: and sibling sub-batches (shard groups of one serving window) then slice
-#: the same pass for free.  Past this row count the per-row work dominates,
-#: so a take from a large batch hashes only its own rows — which preserves
-#: the short-circuit savings of probes that progressively narrow a big
-#: batch (see ``BloomFilter._probe_batch``).
-_PARENT_EAGER_ROWS = 4096
+#: A sub-batch answers a primitive by slicing its root window's pass.  When
+#: the root has no pass yet, :func:`hash_batch` computes it there eagerly
+#: while the root stays window-sized: the Python column loop dominates at
+#: that scale and costs the same however many rows ride along, and the
+#: sibling stages that need every row (the router, each shard group's H0
+#: probe) then slice the same pass for free.  Past this row count the
+#: per-row work dominates, so a take from a large batch hashes only its own
+#: rows — which preserves the short-circuit savings of probes that
+#: progressively narrow a big batch (see ``BloomFilter._probe_batch``).
+_ROOT_EAGER_ROWS = 4096
 
 #: Below this row count the scalar primitive loop beats the numpy column
 #: pass.  The column pass costs a near-constant ~200-400us setup (one Python
@@ -689,29 +681,63 @@ SCALAR_CROSSOVER_ROWS = 32
 def hash_batch(primitive: Callable[[bytes], int], batch: KeyBatch):
     """Hash every key in ``batch`` with ``primitive`` as one uint64 vector.
 
-    Uses the vectorized twin when one exists and the batch is larger than
+    The entry point for stages that need every row of a window.  Uses the
+    vectorized twin when one exists and the batch is larger than
     :data:`SCALAR_CROSSOVER_ROWS`; otherwise evaluates the scalar primitive
     per key (still saving the per-key normalisation, since the batch carries
-    pre-encoded bytes).  Results are memoised on the batch, so
-    engine stages that derive several values from one primitive pass (Xor
-    slots + fingerprints, WBF base/step, double-hashing bases) hash each key
-    once per batch.
+    pre-encoded bytes).  Results are memoised on the batch, so engine stages
+    that derive several values from one primitive pass (Xor slots +
+    fingerprints, WBF base/step, double-hashing bases) hash each key once
+    per batch.
 
-    Sub-batches made with :meth:`KeyBatch.take` reuse their parent's pass by
-    row-slicing it (hash values are per-key, so slicing is exact).  This is
-    what makes sharded serving windows affordable: the router and N shard
-    filters together pay one column-loop pass per primitive for the whole
-    window instead of one per shard.
+    A sub-batch made with :meth:`KeyBatch.take` reads its root window's
+    pass by row-slicing it (hash values are per-key, so slicing is exact),
+    and starts that pass on the root when the root is window-sized (see
+    :data:`_ROOT_EAGER_ROWS`).  This is what makes sharded serving windows
+    affordable: the router and each shard's H0 probe together pay one
+    column-loop pass per primitive for the whole window instead of one per
+    shard.  Sparse stages that touch a few rows use :func:`hash_rows`
+    instead, which never starts a window pass.
+    """
+    window = window_of(batch)
+    if window is not None and ("primitive", primitive) not in batch.cache:
+        hash_rows(primitive, window[0])
+    return hash_rows(primitive, batch)
+
+
+def window_of(batch: KeyBatch):
+    """``(root, rows)`` when ``batch`` is a take from a window-sized root, else ``None``.
+
+    Per-key values that every row of a serving window needs — a primitive
+    pass (:func:`hash_batch`), or values derived from one such as the
+    double-hashing bases — are computed once on that root and row-sliced by
+    each sub-batch (see :data:`_ROOT_EAGER_ROWS`).
+    """
+    root = batch._root
+    if root is None or len(root) > _ROOT_EAGER_ROWS:
+        return None
+    return root, batch._rows
+
+
+def hash_rows(primitive: Callable[[bytes], int], batch: KeyBatch):
+    """Hash ``batch``'s own rows, unless its root window already holds the pass.
+
+    The sparse counterpart of :func:`hash_batch`: a family-index group of
+    the HABF second round covers a handful of a window's rows, so it slices
+    the window's pass when a stage that needed every row already memoised
+    one, and otherwise hashes only its own rows — with the scalar loop at or
+    below :data:`SCALAR_CROSSOVER_ROWS`.  It never starts a pass on the
+    root.  The result is memoised on ``batch`` under the same key
+    :func:`hash_batch` reads.
     """
     cache_key = ("primitive", primitive)
     values = batch.cache.get(cache_key)
     if values is not None:
         return values
-    parent = batch._parent
-    if parent is not None and (
-        cache_key in parent.cache or len(parent) <= _PARENT_EAGER_ROWS
-    ):
-        values = hash_batch(primitive, parent)[batch._rows]
+    root = batch._root
+    window = root.cache.get(cache_key) if root is not None else None
+    if window is not None:
+        values = window[batch._rows]
     else:
         vectorized = _BY_CALLABLE.get(primitive)
         if vectorized is not None and len(batch) > SCALAR_CROSSOVER_ROWS:

@@ -72,3 +72,14 @@ class TestTraining:
         model.fit(small_shalla.positives[:100], small_shalla.negatives[:100])
         key = small_shalla.negatives[0]
         assert model.score(key) == pytest.approx(float(model.scores([key])[0]))
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64])
+    def test_batch_scores_are_bit_identical_to_single_scores(self, small_shalla, size):
+        # The learned filters set thresholds from batch scores at build time
+        # but score one key at a time in `contains`, so a last-bit difference
+        # on a threshold becomes a false negative.
+        model = KeyScoreModel().fit(small_shalla.positives, small_shalla.negatives)
+        keys = [key for pair in zip(small_shalla.positives, small_shalla.negatives) for key in pair]
+        keys = keys[:size]
+        batch = model.scores(keys)
+        assert [float(score) for score in batch] == [model.score(key) for key in keys]

@@ -27,6 +27,7 @@ from repro.core.bitarray import BitArray
 from repro.core.bloom import BloomFilter
 from repro.core.habf import HABF, FastHABF
 from repro.core.params import HABFParams
+from repro.hashing import primitives as scalar_primitives
 from repro.hashing import vectorized
 from repro.hashing.double_hashing import DoubleHashFamily
 from repro.kvstore.filter_policy import AlwaysContainsFilter
@@ -121,18 +122,46 @@ def test_zero_false_negatives_through_engine(built_filters, small_shalla):
 
 
 def test_sharded_store_query_many_matches_scalar(small_shalla, probe_keys):
-    batch_store = ShardedFilterStore.build(
-        small_shalla.positives, small_shalla.negatives, num_shards=4, backend="f-habf"
+    # f-habf hashes with a double-hashing family, the default habf with the
+    # Table II family.  With 4 shards the 24- and 96-key windows give shard
+    # groups at or below SCALAR_CROSSOVER_ROWS (32), the full probe groups
+    # well above it.
+    windows = [probe_keys[:24], probe_keys[24:120], probe_keys]
+    for backend in ("f-habf", "habf"):
+        batch_store = ShardedFilterStore.build(
+            small_shalla.positives, small_shalla.negatives, num_shards=4, backend=backend
+        )
+        scalar_store = ShardedFilterStore.build(
+            small_shalla.positives, small_shalla.negatives, num_shards=4, backend=backend
+        )
+        for keys in windows:
+            assert batch_store.query_many(keys) == [
+                scalar_store.query(key) for key in keys
+            ], (backend, len(keys))
+        batch_stats = {s.shard: (s.queries, s.positives) for s in batch_store.shard_stats()}
+        scalar_stats = {s.shard: (s.queries, s.positives) for s in scalar_store.shard_stats()}
+        assert batch_stats == scalar_stats, backend
+
+
+def test_habf_window_hashes_only_the_router_and_h0_passes(small_shalla, skewed_costs):
+    """Round 2 hashes its sparse groups' own rows, never the whole window."""
+    store = ShardedFilterStore.build(
+        small_shalla.positives,
+        small_shalla.negatives,
+        costs=skewed_costs,
+        num_shards=4,
+        backend="habf",
     )
-    scalar_store = ShardedFilterStore.build(
-        small_shalla.positives, small_shalla.negatives, num_shards=4, backend="f-habf"
-    )
-    assert batch_store.query_many(probe_keys) == [
-        scalar_store.query(key) for key in probe_keys
-    ]
-    batch_stats = {s.shard: (s.queries, s.positives) for s in batch_store.shard_stats()}
-    scalar_stats = {s.shard: (s.queries, s.positives) for s in scalar_store.shard_stats()}
-    assert batch_stats == scalar_stats
+    keys = small_shalla.negatives + small_shalla.positives
+    random.Random(13).shuffle(keys)
+    window = vectorized.KeyBatch(keys[:1024])
+    store.query_many(window)
+    passes = {key[1] for key in window.cache if key[0] == "primitive"}
+    # The router hashes with xxhash; H0 at k=3 is the family's first three
+    # members, xxhash, cityhash and murmur3.
+    assert passes == {
+        scalar_primitives.PRIMITIVES[name] for name in ("xxhash", "cityhash", "murmur3")
+    }
 
 
 def test_sharded_store_fallback_without_numpy(small_shalla, probe_keys, monkeypatch):
@@ -178,6 +207,14 @@ def test_bitarray_set_many_fallback_without_numpy(monkeypatch):
     array.set_many([1, 5, 99, -1])
     assert array.test_many([1, 5, 99, -1, 0]) == [True, True, True, True, False]
     assert sorted(array.iter_set_bits()) == [1, 5, 99]
+
+
+def test_bitarray_test_many_wraps_negative_indices():
+    array = BitArray(64)
+    array.set_many([-1, 5])
+    assert array.test_many([-1, 63, -59, 5, 0, -64]).tolist() == [
+        True, True, True, True, False, False
+    ]
 
 
 def test_bitarray_batch_bounds_checking():

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.habf import HABF
 from repro.core.hash_expressor import HashExpressor
+from repro.core.params import HABFParams
 from repro.errors import ConfigurationError
+from repro.hashing import vectorized
 from repro.hashing.registry import GLOBAL_HASH_FAMILY
+from repro.service import codec
 
 
 def make_expressor(num_cells=256, cell_hash_bits=5) -> HashExpressor:
@@ -126,3 +130,48 @@ class TestInsertAndQuery:
                 successes += 1
         assert expressor.stats().inserted_keys == successes
         assert expressor.inserted_keys == successes
+
+
+class TestBatchQuery:
+    """`query_many_batch` agrees with scalar `query`, including after inserts."""
+
+    @staticmethod
+    def _assert_batch_matches_scalar(expressor, keys, k=3):
+        selections, valid = expressor.query_many_batch(vectorized.KeyBatch(keys), k)
+        for row, key in enumerate(keys):
+            expected = expressor.query(key, k)
+            if expected is None:
+                assert not valid[row], key
+            else:
+                assert valid[row], key
+                assert selections[row].tolist() == expected, key
+
+    @staticmethod
+    def _decoded_expressor():
+        positives = [f"pos-{i}" for i in range(300)]
+        negatives = [f"neg-{i}" for i in range(300)]
+        habf = HABF.build(
+            positives, negatives, params=HABFParams.from_bits_per_key(6.0, 300, seed=3)
+        )
+        return codec.loads(codec.dumps(habf)).expressor
+
+    @pytest.mark.parametrize("source", ["built", "decoded"])
+    def test_try_insert_after_batch_query_is_seen_by_the_next_one(self, source):
+        pytest.importorskip("numpy")
+        if source == "built":
+            expressor = make_expressor(num_cells=512)
+            for i in range(40):
+                expressor.try_insert(f"seed-{i}", [i % 7, 7 + i % 7, 14 + i % 5])
+        else:
+            expressor = self._decoded_expressor()
+        probe = [f"fresh-{i}" for i in range(60)]
+        self._assert_batch_matches_scalar(expressor, probe)
+        inserted = [
+            key
+            for i, key in enumerate(probe[:20])
+            if expressor.query(key, 3) is None
+            and expressor.try_insert(key, [i % 5, 5 + i % 6, 11 + i % 7])
+        ]
+        assert inserted
+        assert all(expressor.query(key, 3) is not None for key in inserted)
+        self._assert_batch_matches_scalar(expressor, probe)

@@ -53,6 +53,14 @@ def test_batch_primitive_empty_batch(name):
     assert vectorized.BATCH_PRIMITIVES[name](empty).shape == (0,)
 
 
+@pytest.mark.parametrize("name", list(scalar_primitives.PRIMITIVES))
+def test_batch_primitive_all_empty_keys(name):
+    """A window of empty keys has a zero-width byte matrix and only a tail."""
+    scalar = scalar_primitives.PRIMITIVES[name]
+    produced = vectorized.BATCH_PRIMITIVES[name](vectorized.KeyBatch([b"", ""]))
+    assert produced.tolist() == [scalar(b"")] * 2
+
+
 def test_key_batch_take_preserves_rows():
     keys = ["a", "bb", b"\x00\x01\x02", 7, ""]
     batch = vectorized.KeyBatch(keys)
@@ -60,6 +68,28 @@ def test_key_batch_take_preserves_rows():
     assert sub.keys == [7, "a"]
     assert sub.data == [batch.data[3], batch.data[0]]
     assert sub.lengths.tolist() == [8, 1]
+    nested = batch.take([4, 3, 1]).take([1, 0])  # rows compose onto the root
+    assert nested.keys == [7, ""]
+    assert nested.data == [batch.data[3], batch.data[4]]
+
+
+def test_hash_rows_reads_the_window_pass_but_never_starts_one():
+    keys = [f"https://example.org/sparse/{i}" for i in range(200)]
+    window = vectorized.KeyBatch(keys)
+    fnv, murmur3 = (scalar_primitives.PRIMITIVES[name] for name in ("fnv", "murmur3"))
+    for rows in ([3, 17], np.arange(0, 200, 4)):  # both sides of the crossover
+        group = window.take(np.arange(200)).take(rows)
+        assert vectorized.hash_rows(fnv, group).tolist() == [
+            fnv(window.data[i]) for i in np.asarray(rows).tolist()
+        ]
+    assert ("primitive", fnv) not in window.cache
+    # A stage that needs every row starts the window's pass; a sparse group
+    # taken afterwards slices it without reading its own rows' bytes.
+    vectorized.hash_batch(murmur3, window.take(np.arange(150)))
+    full = window.cache[("primitive", murmur3)]
+    group = window.take(np.arange(10, 90)).take([5, 0, 79])
+    assert vectorized.hash_rows(murmur3, group).tolist() == full[[15, 10, 89]].tolist()
+    assert group._data is None
 
 
 def test_hash_function_hash_many_matches_scalar(tiny_keys):
@@ -99,6 +129,25 @@ def test_double_family_base_pass_is_memoised(tiny_keys):
     first = family.base_hashes_many(batch)
     second = family.base_hashes_many(batch)
     assert first[0] is second[0] and first[1] is second[1]
+
+
+def test_double_family_bases_are_computed_once_per_window():
+    """Equal families on one window's takes slice one set of window bases."""
+    keys = [f"window-key-{i}" for i in range(40)]
+    window = vectorized.KeyBatch(keys)
+    families = [DoubleHashFamily(size=5, primitive="xxhash", seed=3) for _ in range(2)]
+    groups = [window.take(np.arange(0, 40, 2)), window.take(np.arange(1, 40, 2))]
+    for family, group in zip(families, groups):
+        matrix = family.hash_many(group, modulus=1009)
+        for index in range(5):
+            assert matrix[index].tolist() == [family[index](k, 1009) for k in group.keys]
+    assert sum(key[0] == "double-bases" for key in window.cache) == 1
+    # A family with other salts gets its own bases.
+    other = DoubleHashFamily(size=5, primitive="xxhash", seed=4)
+    assert other.hash_many(groups[0], modulus=1009)[2].tolist() == [
+        other[2](k, 1009) for k in groups[0].keys
+    ]
+    assert sum(key[0] == "double-bases" for key in window.cache) == 2
 
 
 def test_hash_many_fallback_without_numpy(tiny_keys, monkeypatch):
@@ -163,6 +212,13 @@ def test_small_windows_take_the_scalar_path_bit_identically():
     large = vectorized.as_batch(keys)  # vectorized side
     for name in ("xxhash", "bkdr", "crc32", "fnv"):
         primitive = scalar_primitives.PRIMITIVES[name]
+        # A take() of a take() of a fresh window hashes its own rows on the
+        # scalar side (rows are the first `rows` keys, in order).
+        nested = vectorized.as_batch(keys).take(np.arange(rows + 8)).take(np.arange(rows))
+        np.testing.assert_array_equal(
+            np.asarray(vectorized.hash_rows(primitive, nested)),
+            np.asarray(vectorized.hash_batch(primitive, large))[:rows],
+        )
         np.testing.assert_array_equal(
             np.asarray(vectorized.hash_batch(primitive, small)),
             np.asarray(vectorized.hash_batch(primitive, large))[:rows],

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitarray import BitArray
@@ -210,6 +210,13 @@ class TestCodecFrameProperties:
     @given(
         keys=key_sets,
         negatives=st.lists(key_strategy, max_size=30, unique=True),
+    )
+    # A positive whose learned score sat on an Ada-BF threshold: batch and
+    # single-key scoring once differed in the last bit, so scalar `contains`
+    # probed a hash the key was never inserted under.
+    @example(
+        keys=["0", "I\xf3\x0c1", ">(-00000"],
+        negatives=["", "s0", "10>?\x1c00011)00B0\xde\xba"],
     )
     @codec_settings
     def test_every_backend_frame_survives_decode_reencode(
