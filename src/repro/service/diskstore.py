@@ -310,9 +310,10 @@ class _LazyShardFilter:
     """Filter proxy bound to one epoch's shard; decodes on first probe.
 
     Satisfies the duck type :meth:`ShardedFilterStore.query_many` dispatches
-    on (``_contains_batch`` / ``contains_many`` / ``contains``) plus the
-    ``size_in_bits`` the stats layer reads — the latter answered from the
-    directory, so introspection never faults a cold shard in.
+    on (``_contains_batch`` / ``_contains_fallback`` / ``contains_many`` /
+    ``contains``) plus the ``size_in_bits`` the stats layer reads — the
+    latter answered from the directory, so introspection never faults a
+    cold shard in.
     """
 
     __slots__ = ("_owner", "_epoch", "_shard")
@@ -340,6 +341,13 @@ class _LazyShardFilter:
         many = getattr(target, "contains_many", None)
         if many is not None:
             return many(keys)
+        return [bool(target.contains(key)) for key in keys]
+
+    def _contains_fallback(self, keys) -> List[bool]:
+        target = self._resolve()
+        fallback = getattr(target, "_contains_fallback", None)
+        if fallback is not None:
+            return fallback(keys)
         return [bool(target.contains(key)) for key in keys]
 
     def _contains_batch(self, batch):

@@ -629,6 +629,9 @@ class ReplicaPool:
         self._replicas: List[_Replica] = []
         self._free: "queue.Queue[_Replica]" = queue.Queue()
         self._arena: Optional[SharedFrameArena] = None
+        #: Generation every surviving replica acked at the last completed
+        #: roll; the builder moves first, so its generation can run ahead.
+        self._fleet_generation = 0
         self._reuseport_socket: Optional[socket.socket] = None
         self._closed = False
         self._swap_lock = threading.Lock()
@@ -667,6 +670,13 @@ class ReplicaPool:
         self._rejected = registry.counter(
             "repro_service_rejected_batches_total",
             "Batch calls refused (empty or oversized)",
+            ("service",),
+        ).labels(label)
+        # The builder's own child reports the generation it built; the
+        # pool's child reports the one its fleet serves (see ``generation``).
+        self._generation_gauge = registry.gauge(
+            "repro_service_generation",
+            "Generation currently serving (0 before the first load)",
             ("service",),
         ).labels(label)
 
@@ -836,8 +846,8 @@ class ReplicaPool:
 
         Caller holds ``_swap_lock`` and has already moved the builder (and,
         in disk mode, committed the generation durably).  Drains in-flight
-        windows, installs the generation on every surviving replica, then
-        retires the previous arena.
+        windows, installs the generation on every surviving replica, records
+        it as the fleet's :attr:`generation`, then retires the previous arena.
         """
         if self._store_path is not None:
             # Disk tier: the builder already committed this generation
@@ -870,6 +880,12 @@ class ReplicaPool:
                         self._load_timeout,
                         f"generation {generation} install on replica {replica.index}",
                     )
+                # Recorded while the fleet is still held, so no window
+                # answered after a GEN read can come from an older one.  A
+                # failed roll leaves it (and the gauge) at the last
+                # generation every replica acked.
+                self._fleet_generation = generation
+                self._generation_gauge.set(generation)
             finally:
                 for replica in held:
                     self._free.put(replica)
@@ -1088,8 +1104,13 @@ class ReplicaPool:
     # ------------------------------------------------------------------ #
     @property
     def generation(self) -> int:
-        """Generation the fleet serves (0 before the first load)."""
-        return self._builder.generation
+        """Generation every replica has acked (0 before the first load).
+
+        A rebuild moves the builder first and rolls the fleet after, so
+        this lags :attr:`snapshot` during a roll rather than reporting a
+        generation that windows may not be answered by yet.
+        """
+        return self._fleet_generation
 
     @property
     def snapshot(self):
@@ -1150,7 +1171,8 @@ class ReplicaPool:
     def stats(self) -> ServiceStats:
         """Fleet-aggregated stats in the standard :class:`ServiceStats` shape.
 
-        Build/rebuild counters come from the parent's builder; traffic
+        Build/rebuild counters come from the parent's builder, the
+        generation from the fleet (:attr:`generation`); traffic
         counters are the parent-side dispatch accounting summed over
         replicas.  Without an estimator or adaptive policy the per-shard
         rows report build-time facts only (replica-resident counters are
@@ -1159,6 +1181,7 @@ class ReplicaPool:
         therefore the rows here — tracking replica traffic.
         """
         stats = self._builder.stats()
+        stats.generation = self._fleet_generation
         stats.queries = sum(int(child.value) for child in self._replica_keys)
         stats.batches = sum(int(child.value) for child in self._replica_windows)
         stats.positives = sum(int(child.value) for child in self._replica_positives)

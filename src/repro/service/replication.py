@@ -924,14 +924,17 @@ class BuilderPublisher:
 class FollowerClient:
     """Keeps one follower service in sync with a :class:`BuilderPublisher`.
 
-    A daemon thread connects, announces the follower's serving generation in
-    ``HELLO``, and applies every snapshot frame the publisher ships —
-    ACKing the installed generation (with the apply latency) or NACKing
-    with the current generation when a frame cannot apply, which makes the
-    publisher fall back to a full snapshot.  Connection failures retry with
-    exponential backoff; after a reconnect the follower re-announces
-    whatever generation it actually serves, so a crash-recovered process
-    resyncs from its last committed state automatically.
+    A daemon thread connects, announces the generation of the follower's
+    snapshot in ``HELLO``, and applies every snapshot frame the publisher
+    ships — ACKing the installed generation (with the apply latency) or
+    NACKing with the snapshot's generation when a frame cannot apply, which
+    makes the publisher fall back to a full snapshot.  Connection failures
+    retry with exponential backoff; after a reconnect the follower
+    re-announces whatever snapshot it actually holds, so a crash-recovered
+    process resyncs from its last committed state automatically.  For a
+    :class:`~repro.service.multiproc.ReplicaPool` that snapshot is the
+    builder's, which leads the fleet's serving generation during a roll;
+    :meth:`wait_for_generation` waits for the fleet.
 
     Args:
         service: The follower — a
@@ -1078,7 +1081,7 @@ class FollowerClient:
                 _send_message(
                     sock,
                     MSG_HELLO,
-                    _pack_hello(self._service.generation, self._label),
+                    _pack_hello(self._base_generation(), self._label),
                 )
                 backoff = self._initial_backoff
                 self._sync_loop(sock)
@@ -1105,13 +1108,13 @@ class FollowerClient:
                 delta = decode_delta(payload)
                 generation = apply_to_service(self._service, delta)
             except (CodecError, ServiceError) as exc:
-                # StaleBaseError included: report the real serving generation
+                # StaleBaseError included: report the real base generation
                 # so the publisher re-bases (or falls back to a full frame).
                 self._stale.inc()
                 _send_message(
                     sock,
                     MSG_NACK,
-                    _pack_nack(self._service.generation, f"{type(exc).__name__}: {exc}"),
+                    _pack_nack(self._base_generation(), f"{type(exc).__name__}: {exc}"),
                 )
                 continue
             elapsed = time.perf_counter() - start
@@ -1123,6 +1126,19 @@ class FollowerClient:
             with self._cond:
                 self._cond.notify_all()
             _send_message(sock, MSG_ACK, _pack_ack(generation, elapsed))
+
+    def _base_generation(self) -> int:
+        """Generation of the snapshot a frame must apply to (0 before any).
+
+        This is what ``apply_delta`` and ``install_snapshot`` check, so it is
+        what ``HELLO`` and ``NACK`` announce.  A replica pool's builder moves
+        before its fleet rolls, and stays ahead if a roll fails, so the
+        pool's serving :attr:`generation` can trail this base; announcing
+        that instead would make the publisher re-ship a full frame the base
+        rejects as not moving forward, in a loop.
+        """
+        snapshot = self._service.snapshot
+        return snapshot.generation if snapshot is not None else 0
 
     def _sleep(self, seconds: float) -> None:
         deadline = time.monotonic() + seconds

@@ -45,6 +45,41 @@ _FINGERPRINT_SALT = 0x4650_5244_4947_5354  # "FPRDIGST"
 _MASK64 = (1 << 64) - 1
 
 
+#: A batch holding at most this many keys per shard it touches skips the
+#: array engine: :meth:`ShardedFilterStore.query_many` answers each shard
+#: group with the filter's scalar loop.  The engine pays a fixed setup per
+#: shard group (plus a little per window) and the scalar loop pays per key,
+#: so what decides is the keys per group, not the window size: an 8-key
+#: window over 8 shards holds groups of one or two keys, while a single
+#: filter's 16-key batch is one group, where the engine is up to twice as
+#: fast.
+#:
+#: Engine time over scalar time (above 1 the scalar loop is faster), 50k
+#: Shalla-like keys (seed 3), 10 bits/key, the wire benchmark's traffic mix,
+#: median of 5 rounds of 120 windows per size, 2-vCPU VM.  On 1 shard the
+#: columns are window sizes; on 4 and 8 shards (windows of 4-16 and 8-24
+#: keys) they bucket windows by mean keys per touched shard:
+#:
+#:   shards          1            4                  8
+#:   keys/group    2     3    1.5-2  2-3    1.5-2  2-2.5  2.5-3
+#:   habf        1.89  1.70   2.11  1.81    2.13   1.97   1.80
+#:   f-habf      1.66  1.35   1.56  1.20    1.58   1.39   1.19
+#:   bloom       2.05  2.10   2.44  2.38    2.56   2.52   2.39
+#:   bloom-dh    1.42  1.18   1.16  0.94    1.11   1.01   0.87
+#:   xor         1.32  1.13   1.28  1.00    1.39   1.21   1.00
+#:   wbf         2.51  2.15   3.01  2.27    3.18   2.71   2.26
+#:   lbf         1.10  1.02   1.07  1.01    1.05   1.01   0.97
+#:   slbf        1.30  1.10   1.14  1.04    1.13   1.05   0.99
+#:   adabf       1.14  1.08   1.11  1.01    1.10   1.06   1.01
+#:
+#: Two is the largest whole number of keys per group at which no registered
+#: backend's scalar loop is slower on 1, 4 or 8 shards.  bloom-dh breaks
+#: even there: a second run on 8 shards, in quarter-key buckets, read 1.02
+#: for means of 1.75-2 and 0.96 for 2-2.25.  Verdicts are the same either
+#: way: scalar ``contains`` is the oracle the engine is pinned to.
+SCALAR_KEYS_PER_GROUP = 2
+
+
 class EmptyShardFilter:
     """Filter for a shard that received no keys: rejects everything.
 
@@ -70,6 +105,14 @@ class EmptyShardFilter:
 
     def size_in_bits(self) -> int:
         return 0
+
+
+def _group_positions(shards: Sequence[int]) -> Dict[int, List[int]]:
+    """Shard -> the positions routed to it, in input order."""
+    groups: Dict[int, List[int]] = {}
+    for position, shard in enumerate(shards):
+        groups.setdefault(shard, []).append(position)
+    return groups
 
 
 class ShardRouter:
@@ -821,36 +864,56 @@ class ShardedFilterStore:
     def query_many(self, keys: "vec.BatchLike") -> List[bool]:
         """Batch membership test, in input order.
 
-        With numpy available the whole batch is encoded once, the shard
-        partition is one vectorized router pass, and each shard's group is
-        answered with one engine call (sharing the encoded sub-batch with the
-        filter's array program).  Callers that already hold an encoded
+        With numpy available the whole batch is encoded once and the shard
+        partition is one router pass.  Callers that already hold an encoded
         :class:`~repro.hashing.vectorized.KeyBatch` (the asyncio
         micro-batcher encodes its flush window before dispatch) may pass it
-        directly and the encoding is reused.  Without numpy, keys are grouped
-        per shard and answered through each filter's ``contains_many``
-        fallback.
+        directly and the encoding is reused.  Each shard's group is then
+        answered with one engine call, sharing the encoded sub-batch with
+        the filter's array program — unless the batch holds at most
+        :data:`SCALAR_KEYS_PER_GROUP` keys per shard it touches.  The engine
+        pays a fixed setup per shard group, which outweighs so few keys, so
+        such a batch skips it: each group is answered by the filter's scalar
+        loop, and the encoding serves only the router pass (which the FPR
+        estimator's feed then reuses).  Without numpy every batch takes that
+        scalar path, routed per key.
         """
         np = vec.numpy_or_none()
-        if isinstance(keys, vec.KeyBatch):
-            if np is not None and len(keys):
-                return self._query_many_vectorized(np, keys)
-            keys = list(keys.keys)
-        else:
-            keys = list(keys)
-            if np is not None and keys:
-                return self._query_many_vectorized(np, vec.KeyBatch(keys))
+        if np is None:
+            keys = list(keys.keys) if isinstance(keys, vec.KeyBatch) else list(keys)
+            shards = [self._router.shard_of(key) for key in keys]
+            return self._query_groups_scalar(keys, _group_positions(shards))
+        batch = keys if isinstance(keys, vec.KeyBatch) else vec.KeyBatch(list(keys))
+        if not len(batch):
+            return []
+        per_group = SCALAR_KEYS_PER_GROUP
+        if len(batch) <= per_group * len(self._filters):
+            groups = _group_positions(self._router.shard_of_many(batch).tolist())
+            if len(batch) <= per_group * len(groups):
+                return self._query_groups_scalar(batch.keys, groups)
+        return self._query_many_vectorized(np, batch)
+
+    def _query_groups_scalar(
+        self, keys: List[Key], groups: Dict[int, List[int]]
+    ) -> List[bool]:
+        """Scalar path of :meth:`query_many`: one call per shard group.
+
+        Each group resolves its filter once — a disk tier's shard is looked
+        up in its cache once per group, not once per key — and groups run
+        in ascending shard order, as on the engine path, so that cache sees
+        the same load order whichever path answers.
+        """
         results: List[bool] = [False] * len(keys)
-        groups: dict = {}
-        for position, key in enumerate(keys):
-            groups.setdefault(self._router.shard_of(key), []).append(position)
-        for shard, positions in groups.items():
+        for shard in sorted(groups):
+            positions = groups[shard]
             filt = self._filters[shard]
             shard_keys = [keys[position] for position in positions]
             with stage("shard_probe", shard=shard, backend=self._backend_name):
-                batch = getattr(filt, "contains_many", None)
-                if batch is not None:
-                    answers = batch(shard_keys)
+                scalar = getattr(filt, "_contains_fallback", None) or getattr(
+                    filt, "contains_many", None
+                )
+                if scalar is not None:
+                    answers = scalar(shard_keys)
                 else:
                     answers = [filt.contains(key) for key in shard_keys]
             hits = 0

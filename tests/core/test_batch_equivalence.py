@@ -32,7 +32,11 @@ from repro.hashing import vectorized
 from repro.hashing.double_hashing import DoubleHashFamily
 from repro.kvstore.filter_policy import AlwaysContainsFilter
 from repro.service import codec
-from repro.service.shards import EmptyShardFilter, ShardedFilterStore
+from repro.service.shards import (
+    SCALAR_KEYS_PER_GROUP,
+    EmptyShardFilter,
+    ShardedFilterStore,
+)
 
 
 def _params(dataset) -> HABFParams:
@@ -97,9 +101,12 @@ def built_filters(small_shalla, skewed_costs):
 @pytest.mark.parametrize("name", list(FILTER_BUILDERS))
 def test_contains_many_matches_scalar(name, built_filters, probe_keys):
     filt = built_filters[name]
-    answers = filt.contains_many(probe_keys)
-    assert answers == [filt.contains(key) for key in probe_keys]
-    assert all(isinstance(answer, bool) for answer in answers)
+    # A serving-window-sized batch is the other input: its hash passes run
+    # the scalar primitive loop (SCALAR_CROSSOVER_ROWS) inside the engine.
+    for keys in (probe_keys, probe_keys[:16]):
+        answers = filt.contains_many(keys)
+        assert answers == [filt.contains(key) for key in keys]
+        assert all(isinstance(answer, bool) for answer in answers)
 
 
 @pytest.mark.parametrize("name", list(FILTER_BUILDERS))
@@ -125,8 +132,9 @@ def test_sharded_store_query_many_matches_scalar(small_shalla, probe_keys):
     # f-habf hashes with a double-hashing family, the default habf with the
     # Table II family.  With 4 shards the 24- and 96-key windows give shard
     # groups at or below SCALAR_CROSSOVER_ROWS (32), the full probe groups
-    # well above it.
-    windows = [probe_keys[:24], probe_keys[24:120], probe_keys]
+    # well above it.  A lone key, and a window of SCALAR_KEYS_PER_GROUP keys
+    # per shard, take the scalar path; one key more takes the engine again.
+    per = SCALAR_KEYS_PER_GROUP
     for backend in ("f-habf", "habf"):
         batch_store = ShardedFilterStore.build(
             small_shalla.positives, small_shalla.negatives, num_shards=4, backend=backend
@@ -134,6 +142,21 @@ def test_sharded_store_query_many_matches_scalar(small_shalla, probe_keys):
         scalar_store = ShardedFilterStore.build(
             small_shalla.positives, small_shalla.negatives, num_shards=4, backend=backend
         )
+        taken, spread = {}, []
+        for key in probe_keys[120:]:
+            shard = batch_store.shard_of(key)
+            if taken.get(shard, 0) < per:
+                taken[shard] = taken.get(shard, 0) + 1
+                spread.append(key)
+        assert len(spread) == per * 4
+        windows = [
+            probe_keys[:24],
+            probe_keys[24:120],
+            probe_keys,
+            probe_keys[120:121],
+            spread,
+            spread + probe_keys[:1],
+        ]
         for keys in windows:
             assert batch_store.query_many(keys) == [
                 scalar_store.query(key) for key in keys

@@ -27,6 +27,7 @@ import zlib
 import pytest
 
 from repro.errors import CodecError, ConfigurationError, ServiceError
+from repro.hashing import vectorized as vec
 from repro.obs import Registry
 from repro.obs.export import render_text
 from repro.service import codec
@@ -39,7 +40,7 @@ from repro.service.diskstore import (
 )
 from repro.service.multiproc import ReplicaPool
 from repro.service.server import MembershipService
-from repro.service.shards import ShardedFilterStore
+from repro.service.shards import SCALAR_KEYS_PER_GROUP, ShardedFilterStore
 from repro.workloads.shalla import generate_shalla_like
 from repro.workloads.zipf import assign_zipf_costs
 
@@ -373,6 +374,30 @@ def test_cache_metrics_track_counters(tmp_path, ram_store, probe):
             "repro_disk_cache_hits_total", "", ("store",)
         ).labels(disk._obs_label)
         assert hits.value == stats["hits"]
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+def test_small_window_resolves_each_shard_once(tmp_path, ram_store, probe, encoded):
+    """A window of SCALAR_KEYS_PER_GROUP keys per shard skips the engine;
+    each shard it touches is still resolved through the cache once, not
+    once per key."""
+    if encoded:
+        pytest.importorskip("numpy")
+    taken, keys = {}, []
+    for key in probe[::7]:
+        shard = ram_store.shard_of(key)
+        if taken.get(shard, 0) < SCALAR_KEYS_PER_GROUP:
+            taken[shard] = taken.get(shard, 0) + 1
+            keys.append(key)
+    touched = set(taken)
+    assert len(touched) == ram_store.num_shards < len(keys)
+    with _create(tmp_path, ram_store, cache_budget=None) as disk:
+        view = disk.serving_store()
+        view.query_many(probe)  # every shard decoded and cached
+        hits = disk.cache_stats()["hits"]
+        window = vec.KeyBatch(keys) if encoded else keys
+        assert view.query_many(window) == ram_store.query_many(keys)
+        assert disk.cache_stats()["hits"] - hits == len(touched)
 
 
 # --------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ import asyncio
 import glob
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -239,6 +240,55 @@ class TestGenerationConsistency:
             assert {r["generation"] for r in pool.stats_by_replica()} == {2}
             old_segments = [n for n in _leaked_segments() if n.endswith("-g1")]
             assert not old_segments, "generation-1 arena survived the roll"
+
+    def test_generation_waits_for_the_fleet_roll(self, monkeypatch):
+        """The builder moves before the fleet rolls; until every replica
+        acks, ``generation`` must keep reporting what windows are answered
+        by, so a client never reads a generation and then an older answer."""
+        entered, release = threading.Event(), threading.Event()
+        publish = SharedFrameArena.publish.__func__
+
+        def held_publish(cls, store, generation, name=None):
+            if generation == 2:
+                entered.set()
+                release.wait(timeout=60)
+            return publish(cls, store, generation, name)
+
+        monkeypatch.setattr(SharedFrameArena, "publish", classmethod(held_publish))
+        with ReplicaPool(
+            replicas=1, backend="bloom", num_shards=2, bits_per_key=10.0,
+            request_timeout=30.0,
+        ) as pool:
+            pool.load(KEYS)
+            first = pool.snapshot.store
+            probe = KEYS[:8] + ["held-roll-key"]
+            errors = []
+
+            def roll():
+                try:
+                    pool.rebuild(KEYS + ["held-roll-key"])
+                except Exception as exc:  # surfaced by the assert below
+                    errors.append(exc)
+
+            worker = threading.Thread(target=roll, daemon=True)
+            worker.start()
+            try:
+                assert entered.wait(timeout=60), "the rebuild never reached the roll"
+                assert pool.snapshot.generation == 2  # the builder moved
+                assert pool.generation == 1
+                assert pool.stats().generation == 1
+                assert pool._generation_gauge.value == 1
+                answer = pool.query_batch(probe)
+                assert answer.generation == 1
+                assert answer.verdicts == first.query_many(probe)
+            finally:
+                release.set()
+                worker.join(timeout=60)
+            assert not worker.is_alive() and errors == []
+            assert pool.generation == 2
+            assert pool._generation_gauge.value == 2
+            answer = pool.query_batch(probe)
+            assert answer.generation == 2 and answer.verdicts[-1] is True
 
     def test_windows_never_mix_generations_under_load(self):
         """Rebuild while 8 async clients hammer the pool through the batcher:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
+import time
 
 import pytest
 
@@ -29,7 +31,7 @@ from repro.errors import CodecError, ConfigurationError, ServiceError
 from repro.obs import Registry
 from repro.service import codec, diskstore
 from repro.service.diskstore import DIRECTORY_NAME, DiskShardStore, _Directory
-from repro.service.multiproc import ReplicaPool
+from repro.service.multiproc import ReplicaPool, SharedFrameArena
 from repro.service.replication import (
     KIND_DELTA,
     KIND_FULL,
@@ -339,6 +341,63 @@ def test_replica_pool_follower_rolls_fleet(dataset, probe):
                 # the replica process itself answers with the builder's
                 # generation — the fleet rolled, not just the parent
                 assert answer.generation == 2
+                assert answer.verdicts[-1] is True
+
+
+def test_failed_pool_roll_does_not_reship_full_frames(dataset, probe, monkeypatch):
+    """The pool's only replica dies while a delta's roll is held, so the
+    builder holds generation 2 while the fleet never acked it.  The follower
+    must announce the builder's generation (the base a frame applies to);
+    announcing the fleet's 1 makes the publisher ship a full frame of 2,
+    which the builder rejects as not moving forward, over and over."""
+    entered, release = threading.Event(), threading.Event()
+    publish = SharedFrameArena.publish.__func__
+
+    def held_publish(cls, store, generation, name=None):
+        if generation == 2:
+            entered.set()
+            release.wait(timeout=60)
+        return publish(cls, store, generation, name)
+
+    monkeypatch.setattr(SharedFrameArena, "publish", classmethod(held_publish))
+    builder = _service()
+    builder.load(dataset.positives)
+    with BuilderPublisher(builder, registry=Registry()) as pub:
+        host, port = pub.start()
+        pub.publish()
+        with ReplicaPool(
+            replicas=1, num_shards=4, registry=Registry(), request_timeout=2.0,
+            **BACKEND,
+        ) as pool:
+            with FollowerClient(pool, host, port, registry=Registry()) as client:
+                assert client.wait_for_generation(1, timeout=60)
+                full_before = pub._shipped_full.value
+                pub.publish_rebuild(dataset.positives + ["repl-roll-key"])
+                try:
+                    assert entered.wait(timeout=60), "the delta never reached the roll"
+                    replica = pool._replicas[0]
+                    os.kill(replica.process.pid, signal.SIGKILL)
+                    replica.process.join(timeout=30)
+                    assert not replica.process.is_alive()
+                finally:
+                    release.set()
+                # The roll times out draining the dead replica and the
+                # follower NACKs the delta.
+                deadline = time.monotonic() + 30
+                while client._stale.value + client.reconnects == 0:
+                    assert time.monotonic() < deadline, "the failed roll never surfaced"
+                    time.sleep(0.05)
+                time.sleep(1.0)  # a re-ship loop ships many full frames here
+                assert pool.snapshot.generation == 2
+                assert pool.generation == 1
+                assert pub._shipped_full.value == full_before
+                # The next generation applies on the builder's base and
+                # respawns the fleet on it.
+                pub.publish_rebuild(dataset.positives + ["repl-roll-key", "repl-roll-2"])
+                assert client.wait_for_generation(3, timeout=60)
+                assert pool.generation == 3
+                answer = pool.query_batch(probe + ["repl-roll-2"])
+                assert answer.generation == 3
                 assert answer.verdicts[-1] is True
 
 

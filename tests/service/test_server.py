@@ -8,7 +8,9 @@ import pytest
 
 from repro.core.bloom import BloomFilter
 from repro.errors import ServiceError
-from repro.service import codec
+from repro.hashing import vectorized as vec
+from repro.obs import FprEstimator
+from repro.service import codec, shards
 from repro.service.server import MembershipService
 from repro.workloads.shalla import generate_shalla_like
 
@@ -152,6 +154,39 @@ def test_install_snapshot_swaps_generations(dataset, service):
     assert service.install_snapshot(other.snapshot.store) == 2
     assert service.stats().rebuilds == 1
     assert all(service.query_many(dataset.positives[:100]))
+
+
+def test_small_window_is_routed_once_for_the_fpr_estimator(dataset, monkeypatch):
+    """An encoded window of two keys per shard takes the scalar path, and
+    the estimator's feed reuses its router pass instead of hashing the keys
+    again."""
+    pytest.importorskip("numpy")
+    estimator = FprEstimator(sample_rate=1.0)
+    svc = MembershipService(
+        backend="habf", num_shards=4, bits_per_key=10.0, fpr_estimator=estimator
+    )
+    svc.load(dataset.positives, dataset.negatives)
+    store = svc.snapshot.store
+    # One positive and one negative per shard: within SCALAR_KEYS_PER_GROUP.
+    assert shards.SCALAR_KEYS_PER_GROUP >= 2
+    keys = [
+        next(key for key in pool if store.shard_of(key) == shard)
+        for pool in (dataset.positives, dataset.negatives)
+        for shard in range(4)
+    ]
+    routed = []
+    router_hash = shards.xxhash
+
+    def counted(data):
+        routed.append(data)
+        return router_hash(data)
+
+    monkeypatch.setattr(shards, "xxhash", counted)
+    answer = svc.query_batch(vec.KeyBatch(keys))
+    assert answer.verdicts[:4] == [True] * 4
+    assert len(routed) == len(keys)
+    # Every positive verdict was sampled, with the scalar path's shard ids.
+    assert sum(e.sampled for e in svc.fpr_estimates()) == sum(answer.verdicts)
 
 
 def test_invalid_configuration_rejected():

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.habf import HABF
 from repro.errors import ConfigurationError
+from repro.hashing import vectorized as vec
 from repro.service import codec
 from repro.service.backends import (
     available_backends,
@@ -12,7 +14,12 @@ from repro.service.backends import (
     register_backend,
     resolve_backend,
 )
-from repro.service.shards import EmptyShardFilter, ShardRouter, ShardedFilterStore
+from repro.service.shards import (
+    SCALAR_KEYS_PER_GROUP,
+    EmptyShardFilter,
+    ShardRouter,
+    ShardedFilterStore,
+)
 from repro.workloads.shalla import generate_shalla_like
 
 
@@ -106,6 +113,85 @@ def test_batch_path_uses_contains_many(dataset):
     store.query_many(dataset.positives[:200])
     # One contains_many call per shard touched by the batch, not per key.
     assert 1 <= calls["batch"] <= 2
+
+
+def _spread(store, keys, per_shard):
+    """The first keys of ``keys`` that give every shard ``per_shard`` keys."""
+    taken, picked = {}, []
+    for key in keys:
+        shard = store.shard_of(key)
+        if taken.get(shard, 0) < per_shard:
+            taken[shard] = taken.get(shard, 0) + 1
+            picked.append(key)
+    assert len(picked) == per_shard * store.num_shards
+    return picked
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+def test_small_groups_skip_the_engine(dataset, encoded, monkeypatch):
+    """A window of at most SCALAR_KEYS_PER_GROUP keys per shard it touches
+    makes one scalar call per shard group and no array program; one key
+    more, or a single shard's larger group, reaches _contains_batch."""
+    pytest.importorskip("numpy")  # the engine side of the cut needs numpy
+    store = ShardedFilterStore.build(
+        dataset.positives, negatives=dataset.negatives, num_shards=4, backend="habf"
+    )
+    calls = {"scalar": [], "batch": 0, "engine": 0}
+    engine = HABF._contains_batch
+
+    def counted_engine(self, batch):
+        calls["engine"] += 1
+        return engine(self, batch)
+
+    monkeypatch.setattr(HABF, "_contains_batch", counted_engine)
+
+    class Recording:
+        def __init__(self, shard, inner):
+            self._shard = shard
+            self._inner = inner
+
+        def contains(self, key):
+            return self._inner.contains(key)
+
+        def contains_many(self, keys):
+            return self._inner.contains_many(keys)
+
+        def _contains_fallback(self, keys):
+            calls["scalar"].append(self._shard)
+            return self._inner._contains_fallback(keys)
+
+        def _contains_batch(self, batch):
+            calls["batch"] += 1
+            return self._inner._contains_batch(batch)
+
+    per = SCALAR_KEYS_PER_GROUP
+    mixed = [key for pair in zip(dataset.positives, dataset.negatives) for key in pair]
+    # Highest shard first, so the scalar path must reorder its calls.
+    spread = sorted(_spread(store, mixed, per), key=store.shard_of, reverse=True)
+    crowded = [key for key in mixed if store.shard_of(key) == 0][: per + 1]
+    extra = next(key for key in mixed[::-1] if store.shard_of(key) == 0)
+    for shard, filt in enumerate(list(store.filters)):
+        store.filters[shard] = Recording(shard, filt)
+    cases = [
+        (spread[:1], True),
+        (crowded[:per], True),
+        (spread, True),
+        (spread + [extra], False),
+        (crowded, False),
+    ]
+    for keys, scalar in cases:
+        calls.update(scalar=[], batch=0, engine=0)
+        window = vec.KeyBatch(keys) if encoded else keys
+        answers = store.query_many(window)
+        touched = {store.shard_of(key) for key in keys}
+        if scalar:
+            assert calls["batch"] == calls["engine"] == 0, len(keys)
+            # One call per shard touched, in the engine path's shard order.
+            assert calls["scalar"] == sorted(touched), len(keys)
+        else:
+            assert calls["batch"] == calls["engine"] == len(touched), len(keys)
+            assert calls["scalar"] == []
+        assert answers == [store.query(key) for key in keys]
 
 
 def test_shard_stats_count_queries_and_positives(dataset):
