@@ -14,9 +14,9 @@ blacklist-gateway / LSM read-path setting the paper motivates:
   shared with :mod:`repro.kvstore.filter_policy`.
 * :mod:`repro.service.shards` — :class:`ShardedFilterStore`, which partitions
   keys across N independently-built filters (in parallel with
-  ``workers=N``), answers batches by grouping keys per shard, and tracks
-  per-shard generations plus key-set fingerprints so rebuilds can skip
-  clean shards.
+  ``workers=N``), answers batches by grouping keys per shard, and records
+  each shard's :class:`ShardEntry` (key count, generation, key-set
+  fingerprint, backend) so rebuilds can skip clean shards.
 * :mod:`repro.service.server` — :class:`MembershipService`, a
   generation-versioned serving core with atomic hot-swap rebuilds
   (incremental by default: only dirty shards are reconstructed) and
@@ -93,7 +93,12 @@ from repro.service.replication import (
     make_delta,
 )
 from repro.service.server import BatchAnswer, MembershipService, Snapshot
-from repro.service.shards import EmptyShardFilter, ShardRouter, ShardedFilterStore
+from repro.service.shards import (
+    EmptyShardFilter,
+    ShardEntry,
+    ShardRouter,
+    ShardedFilterStore,
+)
 from repro.service.stats import (
     AdaptiveStats,
     LatencyWindow,
@@ -131,6 +136,7 @@ __all__ = [
     "DEFAULT_PAGE_SIZE",
     "MicroBatchStats",
     "ShardedFilterStore",
+    "ShardEntry",
     "ShardRouter",
     "EmptyShardFilter",
     "ServiceStats",

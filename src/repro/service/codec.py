@@ -14,7 +14,9 @@ writes) into a loud :class:`~repro.errors.CodecError`; the version byte lets
 future formats evolve without misreading old frames.  Frames are
 self-contained: a filter's hash family is encoded alongside its bits, so
 ``loads(dumps(f))`` reproduces a filter that answers identically to ``f``
-in a fresh process.
+in a fresh process.  Replication deltas (``HDLT``) and wire messages
+(``HRPL``) use the same envelope under their own magic: :func:`_seal`
+writes it and :func:`_unseal` checks it for all three.
 
 Version history: version 2 added per-shard generations and key-set
 fingerprints to the sharded-store payload (the incremental-rebuild
@@ -26,14 +28,18 @@ Composite structures (HABF, the learned filters, the sharded store) embed
 their parts as nested length-prefixed frames, so every layer round-trips
 through the same code path.  Construction-time statistics (``TPJOStats``)
 are *not* serialized — a revived filter serves queries but reports
-``construction_stats`` of ``None``.
+``construction_stats`` of ``None``.  The sharded store writes one
+:class:`~repro.service.shards.ShardEntry` per shard with
+:func:`_write_entry`, the same bytes the disk ``DIRECTORY`` and the
+``HDLT`` delta write, except that it names the backends once, in its
+header.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, List, Optional, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bitarray import BitArray
 from repro.core.bloom import BloomFilter
@@ -46,6 +52,7 @@ from repro.errors import CodecError
 from repro.hashing.base import HashFunction
 from repro.hashing.double_hashing import DoubleHashFamily
 from repro.hashing.registry import GLOBAL_HASH_FAMILY, HashFamily, get_primitive
+from repro.service.shards import EmptyShardFilter, ShardEntry, ShardedFilterStore
 
 #: Magic bytes opening every frame.
 FRAME_MAGIC = b"HABF"
@@ -189,7 +196,11 @@ class _Reader:
         return self.take(self.u32())
 
     def str_field(self) -> str:
-        return bytes(self.bytes_field()).decode("utf-8")
+        data = bytes(self.bytes_field())
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"string field is not UTF-8: {exc}") from exc
 
     def expect_end(self) -> None:
         if self._pos != len(self._data):
@@ -683,15 +694,42 @@ def _decode_adabf(reader: _Reader):
     return adabf
 
 
-def _encode_store(writer: _Writer, store: Any) -> None:
+# --------------------------------------------------------------------- #
+# Shard entries
+# --------------------------------------------------------------------- #
+def _write_entry(writer: _Writer, entry: ShardEntry, named: bool = True) -> None:
+    """``key_count u64 | generation u32 | has_fp u8 | fingerprint u64``, then
+    ``backend_name str`` unless the caller names backends elsewhere."""
+    writer.u64(entry.key_count)
+    writer.u32(entry.generation)
+    writer.u8(0 if entry.fingerprint is None else 1)
+    writer.u64(entry.fingerprint or 0)
+    if named:
+        writer.str_field(entry.backend_name)
+
+
+def _read_entry(reader: _Reader, backend_name: Optional[str] = None) -> ShardEntry:
+    """Read what :func:`_write_entry` wrote, named by ``backend_name`` if given."""
+    key_count = reader.u64()
+    generation = reader.u32()
+    has_fingerprint = reader.u8()
+    fingerprint = reader.u64()
+    if backend_name is None:
+        backend_name = reader.str_field()
+    return ShardEntry(
+        key_count, generation, fingerprint if has_fingerprint else None, backend_name
+    )
+
+
+def _encode_store(writer: _Writer, store: ShardedFilterStore) -> None:
     writer.u32(store.num_shards)
     writer.u64(store.router_seed)
     # The backend-name field is free-form, so heterogeneous (adaptively
     # migrated) stores reuse it without a frame-version bump: a "mixed:"
     # prefix followed by the comma-joined per-shard names.  Plain names with
     # a comma or that prefix would be ambiguous on decode, hence the guard.
-    shard_names = getattr(store, "shard_backend_names", None)
-    if shard_names is not None and len(set(shard_names)) > 1:
+    shard_names = store.shard_backend_names
+    if len(set(shard_names)) > 1:
         for name in shard_names:
             if "," in name or name.startswith("mixed:"):
                 raise CodecError(
@@ -701,61 +739,98 @@ def _encode_store(writer: _Writer, store: Any) -> None:
         writer.str_field("mixed:" + ",".join(shard_names))
     else:
         writer.str_field(store.backend_name)
-    fingerprints = store.shard_fingerprints
-    generations = store.shard_generations
-    for shard, (filt, key_count) in enumerate(
-        zip(store.filters, store.shard_key_counts)
-    ):
-        writer.u64(key_count)
-        writer.u32(generations[shard])
-        fingerprint = fingerprints[shard]
-        writer.u8(0 if fingerprint is None else 1)
-        writer.u64(fingerprint or 0)
+    for filt, entry in zip(store.filters, store.entries):
+        _write_entry(writer, entry, named=False)
         writer.bytes_field(dumps(filt))
 
 
-def _decode_store(reader: _Reader, version: int) -> Any:
-    from repro.service.shards import ShardedFilterStore
-
+def _decode_store(reader: _Reader, version: int) -> ShardedFilterStore:
     num_shards = reader.u32()
     router_seed = reader.u64()
     backend_name = reader.str_field()
-    shard_backend_names: Optional[List[str]] = None
+    shard_names: Optional[List[str]] = None
     if backend_name.startswith("mixed:"):
-        shard_backend_names = backend_name[len("mixed:") :].split(",")
-        if len(shard_backend_names) != num_shards:
+        shard_names = backend_name[len("mixed:") :].split(",")
+        if len(shard_names) != num_shards:
             raise CodecError(
-                f"mixed store frame names {len(shard_backend_names)} shard "
+                f"mixed store frame names {len(shard_names)} shard "
                 f"backends for {num_shards} shards"
             )
-        backend_name = "mixed"
     filters = []
-    key_counts = []
-    generations: List[int] = []
-    fingerprints: List[Optional[int]] = []
-    for _ in range(num_shards):
-        key_counts.append(reader.u64())
+    entries = []
+    for shard in range(num_shards):
+        name = backend_name if shard_names is None else shard_names[shard]
         if version >= 2:
-            generations.append(reader.u32())
-            has_fingerprint = reader.u8() != 0
-            value = reader.u64()
-            fingerprints.append(value if has_fingerprint else None)
+            entries.append(_read_entry(reader, name))
         else:
             # Version-1 store frames predate incremental rebuilds: shard
             # generations default to 1 and fingerprints stay unknown (the
             # first incremental rebuild treats those shards as dirty).
-            generations.append(1)
-            fingerprints.append(None)
+            entries.append(ShardEntry(reader.u64(), 1, None, name))
         filters.append(loads(reader.bytes_field(), zero_copy=reader.zero_copy))
-    return ShardedFilterStore.from_parts(
-        filters=filters,
-        router_seed=router_seed,
-        backend_name=backend_name,
-        shard_key_counts=key_counts,
-        shard_generations=generations,
-        shard_fingerprints=fingerprints,
-        shard_backend_names=shard_backend_names,
-    )
+    return ShardedFilterStore(filters, router_seed, entries)
+
+
+# --------------------------------------------------------------------- #
+# The envelope
+# --------------------------------------------------------------------- #
+def _seal(magic: bytes, version: int, kind: int, payload: bytes) -> bytes:
+    """``magic 4s | version u8 | kind u8 | length u32 | payload | crc32``,
+    the CRC over everything after the magic."""
+    header = _HEADER.pack(magic, version, kind, len(payload))
+    crc = zlib.crc32(payload, zlib.crc32(header[4:]))
+    return b"".join((header, payload, _U32.pack(crc)))
+
+
+def _open_header(
+    header, magic: bytes, versions: Sequence[int], what: str
+) -> Tuple[int, int, int]:
+    """Check a header's magic and version; returns ``(version, kind, length)``.
+
+    A stream reader calls this before it reads the payload, then
+    :func:`_check_crc`; :func:`_unseal` does both for a whole envelope.
+    """
+    found, version, kind, length = _HEADER.unpack_from(header)
+    if found != magic:
+        raise CodecError(f"bad {what} magic {found!r} (expected {magic!r})")
+    if version not in versions:
+        raise CodecError(
+            f"unsupported {what} version {version} (readable: "
+            f"{', '.join(map(str, versions))})"
+        )
+    return version, kind, length
+
+
+def _check_crc(header, payload, stored_crc: int, what: str) -> None:
+    actual_crc = zlib.crc32(payload, zlib.crc32(header[4:]))
+    if stored_crc != actual_crc:
+        raise CodecError(
+            f"{what} checksum mismatch: stored {stored_crc:#010x}, computed "
+            f"{actual_crc:#010x}"
+        )
+
+
+def _unseal(data, magic: bytes, versions: Sequence[int], what: str):
+    """Check one whole envelope; returns ``(version, kind, payload)``.
+
+    The payload is a copy for ``bytes`` and a view of any other buffer, so
+    zero-copy decoding can alias a mapping.
+    """
+    if len(data) < _HEADER.size + 4:
+        raise CodecError(
+            f"{what} too short: {len(data)} bytes < minimum {_HEADER.size + 4}"
+        )
+    version, kind, length = _open_header(data, magic, versions, what)
+    end = _HEADER.size + length
+    if len(data) != end + 4:
+        raise CodecError(
+            f"{what} length mismatch: header declares {length} payload bytes "
+            f"but it holds {len(data) - _HEADER.size - 4}"
+        )
+    view = data if isinstance(data, (bytes, bytearray)) else memoryview(data)
+    payload = view[_HEADER.size : end]
+    _check_crc(view[: _HEADER.size], payload, _U32.unpack_from(data, end)[0], what)
+    return version, kind, payload
 
 
 # --------------------------------------------------------------------- #
@@ -768,7 +843,6 @@ def dumps(obj: Any) -> bytes:
     from repro.baselines.learned.model import KeyScoreModel
     from repro.baselines.learned.slbf import SandwichedLearnedBloomFilter
     from repro.kvstore.filter_policy import AlwaysContainsFilter
-    from repro.service.shards import EmptyShardFilter, ShardedFilterStore
 
     writer = _Writer()
     if isinstance(obj, ShardedFilterStore):
@@ -818,10 +892,7 @@ def dumps(obj: Any) -> bytes:
             "WeightedBloomFilter, KeyScoreModel, LBF, SLBF, Ada-BF, "
             "ShardedFilterStore and the degenerate shard/table filters"
         )
-    payload = writer.getvalue()
-    header = _HEADER.pack(FRAME_MAGIC, CODEC_VERSION, tag, len(payload))
-    crc = zlib.crc32(header[4:] + payload)
-    return header + payload + struct.pack(">I", crc)
+    return _seal(FRAME_MAGIC, CODEC_VERSION, tag, writer.getvalue())
 
 
 def loads(data, *, zero_copy: bool = False) -> Any:
@@ -840,32 +911,7 @@ def loads(data, *, zero_copy: bool = False) -> Any:
         CodecError: on bad magic, unsupported version, unknown type tag,
             truncation, trailing garbage or checksum mismatch.
     """
-    if len(data) < _HEADER.size + 4:
-        raise CodecError(
-            f"frame too short: {len(data)} bytes < minimum {_HEADER.size + 4}"
-        )
-    magic, version, tag, length = _HEADER.unpack_from(data)
-    if magic != FRAME_MAGIC:
-        raise CodecError(f"bad frame magic {magic!r} (expected {FRAME_MAGIC!r})")
-    if version not in READABLE_VERSIONS:
-        raise CodecError(
-            f"unsupported frame version {version} (this codec reads versions "
-            f"{', '.join(map(str, READABLE_VERSIONS))})"
-        )
-    end = _HEADER.size + length
-    if len(data) != end + 4:
-        raise CodecError(
-            f"frame length mismatch: header declares {length} payload bytes "
-            f"but frame holds {len(data) - _HEADER.size - 4}"
-        )
-    view = memoryview(data) if not isinstance(data, (bytes, bytearray)) else data
-    payload = view[_HEADER.size : end]
-    (stored_crc,) = struct.unpack_from(">I", data, end)
-    actual_crc = zlib.crc32(view[4:end])
-    if stored_crc != actual_crc:
-        raise CodecError(
-            f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )
+    version, tag, payload = _unseal(data, FRAME_MAGIC, READABLE_VERSIONS, "frame")
     reader = _Reader(payload, zero_copy=zero_copy)
     try:
         if tag == TAG_BITARRAY:
@@ -893,8 +939,6 @@ def loads(data, *, zero_copy: bool = False) -> Any:
         elif tag == TAG_SHARDED_STORE:
             result = _decode_store(reader, version)
         elif tag == TAG_EMPTY_SHARD:
-            from repro.service.shards import EmptyShardFilter
-
             result = EmptyShardFilter()
         elif tag == TAG_ALWAYS_CONTAINS:
             from repro.kvstore.filter_policy import AlwaysContainsFilter

@@ -19,10 +19,13 @@ Layout on disk (one directory per store)::
     offset 5   length    4 bytes  payload size (big-endian)
     offset 9   payload   page_size | store generation | page-file epoch |
                          next free page | router seed | backend name |
-                         page-file name | per shard: key count, shard
-                         generation, fingerprint, backend name, size bits,
-                         start page, frame bytes, frame crc32
+                         page-file name | per shard: shard entry, size
+                         bits, start page, frame bytes, frame crc32
     offset -4  crc32     4 bytes  over version + length + payload
+
+The shard entry is the :class:`~repro.service.shards.ShardEntry` that the
+codec store frame and the ``HDLT`` delta write too, with the same bytes; a
+:class:`DirectoryEntry` is that entry plus its page run.
 
 Commits are crash-safe by construction: new frames are appended (or a whole
 new page file is written under a fresh name), ``fsync``\\ ed, and only then
@@ -66,13 +69,14 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import CodecError, ServiceError
 from repro.obs import Registry, default_registry
 from repro.service import codec
-from repro.service.shards import ShardedFilterStore
+from repro.service.shards import ShardedFilterStore, ShardEntry
 
 __all__ = ["DiskShardStore", "DirectoryEntry", "DEFAULT_PAGE_SIZE"]
 
@@ -105,74 +109,36 @@ def _maybe_fault(point: str) -> None:
         hook(point)
 
 
-class DirectoryEntry:
-    """One shard's row in the directory: where its frame lives, and what it is."""
+@dataclass(frozen=True)
+class DirectoryEntry(ShardEntry):
+    """One shard's row in the directory: its :class:`ShardEntry`, and the
+    page run its frame lives in."""
 
-    __slots__ = (
-        "key_count",
-        "generation",
-        "fingerprint",
-        "backend_name",
-        "size_in_bits",
-        "start_page",
-        "frame_bytes",
-        "frame_crc",
-    )
+    size_in_bits: int
+    start_page: int
+    frame_bytes: int
+    frame_crc: int
 
-    def __init__(
-        self,
-        key_count: int,
-        generation: int,
-        fingerprint: Optional[int],
-        backend_name: str,
-        size_in_bits: int,
-        start_page: int,
-        frame_bytes: int,
-        frame_crc: int,
-    ) -> None:
-        self.key_count = key_count
-        self.generation = generation
-        self.fingerprint = fingerprint
-        self.backend_name = backend_name
-        self.size_in_bits = size_in_bits
-        self.start_page = start_page
-        self.frame_bytes = frame_bytes
-        self.frame_crc = frame_crc
+    @classmethod
+    def at(cls, entry: ShardEntry, *run: int) -> "DirectoryEntry":
+        """``entry`` placed in a page run: ``size_in_bits, start_page,
+        frame_bytes, frame_crc``."""
+        fields = (entry.key_count, entry.generation, entry.fingerprint, entry.backend_name)
+        return cls(*fields, *run)
 
 
+@dataclass(frozen=True)
 class _Directory:
-    """Decoded DIRECTORY record (immutable by convention)."""
+    """Decoded DIRECTORY record."""
 
-    __slots__ = (
-        "page_size",
-        "generation",
-        "epoch",
-        "next_free_page",
-        "router_seed",
-        "backend_name",
-        "pages_name",
-        "shards",
-    )
-
-    def __init__(
-        self,
-        page_size: int,
-        generation: int,
-        epoch: int,
-        next_free_page: int,
-        router_seed: int,
-        backend_name: str,
-        pages_name: str,
-        shards: Tuple[DirectoryEntry, ...],
-    ) -> None:
-        self.page_size = page_size
-        self.generation = generation
-        self.epoch = epoch
-        self.next_free_page = next_free_page
-        self.router_seed = router_seed
-        self.backend_name = backend_name
-        self.pages_name = pages_name
-        self.shards = shards
+    page_size: int
+    generation: int
+    epoch: int
+    next_free_page: int
+    router_seed: int
+    backend_name: str
+    pages_name: str
+    shards: Tuple[DirectoryEntry, ...]
 
     def encode(self) -> bytes:
         writer = codec._Writer()
@@ -185,11 +151,7 @@ class _Directory:
         writer.str_field(self.pages_name)
         writer.u32(len(self.shards))
         for entry in self.shards:
-            writer.u64(entry.key_count)
-            writer.u32(entry.generation)
-            writer.u8(1 if entry.fingerprint is not None else 0)
-            writer.u64(entry.fingerprint or 0)
-            writer.str_field(entry.backend_name)
+            codec._write_entry(writer, entry)
             writer.u64(entry.size_in_bits)
             writer.u64(entry.start_page)
             writer.u64(entry.frame_bytes)
@@ -223,21 +185,16 @@ class _Directory:
                 f"directory length mismatch: header declares {length} payload "
                 f"bytes but the record holds {len(data) - 13}"
             )
-        stored_crc = int.from_bytes(data[-4:], "big")
-        actual_crc = zlib.crc32(data[4:-4])
-        if stored_crc != actual_crc:
-            raise CodecError(
-                f"directory checksum mismatch: stored {stored_crc:#010x}, "
-                f"computed {actual_crc:#010x}"
-            )
-        reader = codec._Reader(data[9:-4])
+        payload = data[9:-4]
+        codec._check_crc(data[:9], payload, int.from_bytes(data[-4:], "big"), "directory")
+        reader = codec._Reader(payload)
         page_size = reader.u32()
         generation = reader.u64()
         epoch = reader.u64()
         next_free_page = reader.u64()
         router_seed = reader.u64()
-        backend_name = bytes(reader.take(reader.u32())).decode("utf-8")
-        pages_name = bytes(reader.take(reader.u32())).decode("utf-8")
+        backend_name = reader.str_field()
+        pages_name = reader.str_field()
         num_shards = reader.u32()
         if page_size < 1 or num_shards < 1 or next_free_page < 1:
             raise CodecError(
@@ -247,11 +204,7 @@ class _Directory:
             )
         shards = []
         for _ in range(num_shards):
-            key_count = reader.u64()
-            shard_generation = reader.u32()
-            has_fingerprint = reader.u8()
-            fingerprint = reader.u64()
-            name = bytes(reader.take(reader.u32())).decode("utf-8")
+            entry = codec._read_entry(reader)
             size_in_bits = reader.u64()
             start_page = reader.u64()
             frame_bytes = reader.u64()
@@ -268,17 +221,9 @@ class _Directory:
                     f"the directory's next free page {next_free_page}"
                 )
             shards.append(
-                DirectoryEntry(
-                    key_count=key_count,
-                    generation=shard_generation,
-                    fingerprint=fingerprint if has_fingerprint else None,
-                    backend_name=name,
-                    size_in_bits=size_in_bits,
-                    start_page=start_page,
-                    frame_bytes=frame_bytes,
-                    frame_crc=frame_crc,
-                )
+                DirectoryEntry.at(entry, size_in_bits, start_page, frame_bytes, frame_crc)
             )
+        reader.expect_end()
         return cls(
             page_size=page_size,
             generation=generation,
@@ -621,17 +566,10 @@ class DiskShardStore:
         with open(pages_path, "rb") as handle:
             mm = mmap.mmap(handle.fileno(), mapped_bytes, access=mmap.ACCESS_READ)
         epoch = _Epoch(directory, mm, pages_path)
-        epoch.view = ShardedFilterStore.from_parts(
-            filters=[
-                _LazyShardFilter(self, epoch, shard)
-                for shard in range(len(directory.shards))
-            ],
-            router_seed=directory.router_seed,
-            backend_name=directory.backend_name,
-            shard_key_counts=[entry.key_count for entry in directory.shards],
-            shard_generations=[entry.generation for entry in directory.shards],
-            shard_fingerprints=[entry.fingerprint for entry in directory.shards],
-            shard_backend_names=[entry.backend_name for entry in directory.shards],
+        epoch.view = ShardedFilterStore(
+            [_LazyShardFilter(self, epoch, shard) for shard in range(len(directory.shards))],
+            directory.router_seed,
+            directory.shards,
         )
         self._epoch = epoch
         self._mapped_gauge.set(mapped_bytes)
@@ -646,41 +584,6 @@ class DiskShardStore:
     # ------------------------------------------------------------------ #
     # Commit protocol
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _shard_entry(
-        store: ShardedFilterStore,
-        shard: int,
-        frame: Optional[bytes],
-        start_page: int,
-        previous: Optional[DirectoryEntry],
-    ) -> DirectoryEntry:
-        if frame is None:
-            assert previous is not None
-            return previous
-        size = getattr(store.filters[shard], "size_in_bits", None)
-        return DirectoryEntry(
-            key_count=store.shard_key_counts[shard],
-            generation=store.shard_generations[shard],
-            fingerprint=store.shard_fingerprints[shard],
-            backend_name=store.shard_backend_names[shard],
-            size_in_bits=int(size()) if callable(size) else 0,
-            start_page=start_page,
-            frame_bytes=len(frame),
-            frame_crc=zlib.crc32(frame),
-        )
-
-    def _write_directory(self, directory: _Directory) -> None:
-        record = directory.encode()
-        tmp = self._path / _DIRECTORY_TMP
-        with open(tmp, "wb") as handle:
-            handle.write(record)
-            handle.flush()
-            os.fsync(handle.fileno())
-        _maybe_fault("directory-written")
-        os.replace(tmp, self._path / DIRECTORY_NAME)
-        _maybe_fault("directory-renamed")
-        self._fsync_dir()
-
     def _fsync_dir(self) -> None:
         with contextlib.suppress(OSError):
             fd = os.open(self._path, os.O_RDONLY)
@@ -692,21 +595,24 @@ class DiskShardStore:
     def _pages_of(self, frame_bytes: int) -> int:
         return -(-frame_bytes // self._page_size)
 
-    def _commit_full(
-        self, store: ShardedFilterStore, generation: int, epoch: int
-    ) -> None:
-        """Write every shard's frame into a fresh page file, then swap."""
+    def _write_runs(
+        self,
+        pages_path: Path,
+        first_page: int,
+        frames: Iterable[Tuple[DirectoryEntry, bytes]],
+    ) -> Tuple[List[DirectoryEntry], int]:
+        """Write each ``(entry, frame)`` as a zero-padded page run, then sync.
+
+        ``first_page`` 0 writes a fresh file, any other appends there.
+        Returns the entries placed at their runs, and the next free page.
+        """
         page_size = self._page_size
-        pages_name = f"frames-{epoch:06d}.pages"
-        pages_path = self._path / pages_name
-        entries: List[DirectoryEntry] = []
-        next_page = 0
-        with open(pages_path, "wb") as handle:
-            for shard in range(store.num_shards):
-                frame = codec.dumps(store.filters[shard])
-                entries.append(
-                    self._shard_entry(store, shard, frame, next_page, None)
-                )
+        placed: List[DirectoryEntry] = []
+        next_page = first_page
+        with open(pages_path, "r+b" if first_page else "wb") as handle:
+            handle.seek(first_page * page_size)
+            for entry, frame in frames:
+                placed.append(replace(entry, start_page=next_page))
                 handle.write(frame)
                 pages = self._pages_of(len(frame))
                 padding = pages * page_size - len(frame)
@@ -717,23 +623,58 @@ class DiskShardStore:
             handle.flush()
             os.fsync(handle.fileno())
         _maybe_fault("pages-synced")
-        directory = _Directory(
-            page_size=page_size,
-            generation=generation,
-            epoch=epoch,
-            next_free_page=next_page,
-            router_seed=store.router_seed,
-            backend_name=store.backend_name,
-            pages_name=pages_name,
-            shards=tuple(entries),
-        )
-        self._write_directory(directory)
+        return placed, next_page
+
+    def _publish(self, directory: _Directory) -> None:
+        """The commit point: write-temp + ``fsync`` + atomic rename +
+        parent-directory ``fsync``, then serve ``directory`` and unlink a
+        superseded page file."""
+        record = directory.encode()
+        tmp = self._path / _DIRECTORY_TMP
+        with open(tmp, "wb") as handle:
+            handle.write(record)
+            handle.flush()
+            os.fsync(handle.fileno())
+        _maybe_fault("directory-written")
+        os.replace(tmp, self._path / DIRECTORY_NAME)
+        _maybe_fault("directory-renamed")
+        self._fsync_dir()
         _maybe_fault("before-cleanup")
         previous = self._epoch
         self._install_epoch(directory)
-        if previous is not None and previous.pages_path.name != pages_name:
+        if previous is not None and previous.pages_path.name != directory.pages_name:
             with contextlib.suppress(OSError):
                 previous.pages_path.unlink()
+
+    @staticmethod
+    def _framed(store: ShardedFilterStore, shard: int) -> Tuple[DirectoryEntry, bytes]:
+        """One shard's codec frame and its entry, not yet placed in a run."""
+        frame = codec.dumps(store.filters[shard])
+        run = (store._filter_bits(shard), 0, len(frame), zlib.crc32(frame))
+        return DirectoryEntry.at(store.entries[shard], *run), frame
+
+    def _commit_full(
+        self, store: ShardedFilterStore, generation: int, epoch: int
+    ) -> None:
+        """Write every shard's frame into a fresh page file, then swap."""
+        pages_name = f"frames-{epoch:06d}.pages"
+        placed, next_page = self._write_runs(
+            self._path / pages_name,
+            0,
+            (self._framed(store, shard) for shard in range(store.num_shards)),
+        )
+        self._publish(
+            _Directory(
+                page_size=self._page_size,
+                generation=generation,
+                epoch=epoch,
+                next_free_page=next_page,
+                router_seed=store.router_seed,
+                backend_name=store.backend_name,
+                pages_name=pages_name,
+                shards=tuple(placed),
+            )
+        )
         self._commits_counter.inc()
         self._pages_written_counter.inc(next_page)
 
@@ -747,54 +688,30 @@ class DiskShardStore:
         current = self._epoch
         assert current is not None
         old = current.directory
-        frames: Dict[int, bytes] = {
-            shard: codec.dumps(store.filters[shard]) for shard in sorted(set(dirty))
-        }
-        page_size = self._page_size
-        next_page = old.next_free_page
-        entries: List[DirectoryEntry] = []
-        starts: Dict[int, int] = {}
-        for shard in sorted(frames):
-            starts[shard] = next_page
-            next_page += self._pages_of(len(frames[shard]))
-        for shard in range(store.num_shards):
-            frame = frames.get(shard)
-            if frame is None and store.shard_generations[shard] != old.shards[shard].generation:
+        dirty = sorted(set(dirty))
+        for shard, entry in enumerate(old.shards):
+            moved = store.entries[shard].generation
+            if shard not in dirty and moved != entry.generation:
                 raise ServiceError(
                     f"shard {shard} was not in rebuilt_shards but its generation "
-                    f"moved ({old.shards[shard].generation} -> "
-                    f"{store.shard_generations[shard]}); commit it as dirty"
+                    f"moved ({entry.generation} -> {moved}); commit it as dirty"
                 )
-            entries.append(
-                self._shard_entry(
-                    store, shard, frame, starts.get(shard, 0), old.shards[shard]
-                )
-            )
-        with open(current.pages_path, "r+b") as handle:
-            handle.seek(old.next_free_page * page_size)
-            for shard in sorted(frames):
-                frame = frames[shard]
-                handle.write(frame)
-                padding = self._pages_of(len(frame)) * page_size - len(frame)
-                if padding:
-                    handle.write(b"\x00" * padding)
-            _maybe_fault("pages-appended")
-            handle.flush()
-            os.fsync(handle.fileno())
-        _maybe_fault("pages-synced")
-        directory = _Directory(
-            page_size=page_size,
-            generation=generation,
-            epoch=old.epoch,
-            next_free_page=next_page,
-            router_seed=store.router_seed,
-            backend_name=store.backend_name,
-            pages_name=old.pages_name,
-            shards=tuple(entries),
+        placed, next_page = self._write_runs(
+            current.pages_path,
+            old.next_free_page,
+            (self._framed(store, shard) for shard in dirty),
         )
-        self._write_directory(directory)
-        _maybe_fault("before-cleanup")
-        self._install_epoch(directory)
+        runs = dict(zip(dirty, placed))
+        shards = tuple(runs.get(shard, entry) for shard, entry in enumerate(old.shards))
+        self._publish(
+            replace(
+                old,
+                generation=generation,
+                next_free_page=next_page,
+                backend_name=store.backend_name,
+                shards=shards,
+            )
+        )
         self._commits_counter.inc()
         self._pages_written_counter.inc(next_page - old.next_free_page)
 
@@ -856,62 +773,34 @@ class DiskShardStore:
         current = self._epoch
         assert current is not None
         old = current.directory
-        page_size = self._page_size
         epoch = old.epoch + 1
         pages_name = f"frames-{epoch:06d}.pages"
-        pages_path = self._path / pages_name
-        entries: List[DirectoryEntry] = []
-        next_page = 0
-        with open(pages_path, "wb") as handle:
-            for shard, entry in enumerate(old.shards):
-                offset = entry.start_page * page_size
-                frame = bytes(current.buf[offset : offset + entry.frame_bytes])
-                start = next_page
-                handle.write(frame)
-                pages = self._pages_of(len(frame))
-                padding = pages * page_size - len(frame)
-                if padding:
-                    handle.write(b"\x00" * padding)
-                next_page += pages
-                entries.append(
-                    DirectoryEntry(
-                        key_count=entry.key_count,
-                        generation=entry.generation,
-                        fingerprint=entry.fingerprint,
-                        backend_name=entry.backend_name,
-                        size_in_bits=entry.size_in_bits,
-                        start_page=start,
-                        frame_bytes=entry.frame_bytes,
-                        frame_crc=entry.frame_crc,
-                    )
-                )
-            _maybe_fault("pages-appended")
-            handle.flush()
-            os.fsync(handle.fileno())
-        _maybe_fault("pages-synced")
-        directory = _Directory(
-            page_size=page_size,
-            generation=old.generation,
-            epoch=epoch,
-            next_free_page=next_page,
-            router_seed=old.router_seed,
-            backend_name=old.backend_name,
-            pages_name=pages_name,
-            shards=tuple(entries),
+        placed, next_page = self._write_runs(
+            self._path / pages_name,
+            0,
+            ((entry, bytes(self._frame(current, entry))) for entry in old.shards),
         )
-        self._write_directory(directory)
-        _maybe_fault("before-cleanup")
-        previous = self._epoch
-        self._install_epoch(directory)
-        if previous is not None:
-            with contextlib.suppress(OSError):
-                previous.pages_path.unlink()
+        self._publish(
+            replace(
+                old,
+                epoch=epoch,
+                next_free_page=next_page,
+                pages_name=pages_name,
+                shards=tuple(placed),
+            )
+        )
         self._compactions_counter.inc()
         self._pages_written_counter.inc(next_page)
 
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _frame(epoch: _Epoch, entry: DirectoryEntry) -> memoryview:
+        """One shard's frame bytes, as a view of the epoch's mapping."""
+        offset = entry.start_page * epoch.directory.page_size
+        return epoch.buf[offset : offset + entry.frame_bytes]
+
     def _filter_for(self, epoch: _Epoch, shard: int):
         """Resolve one shard's decoded filter through the LRU (thread-safe)."""
         entry = epoch.directory.shards[shard]
@@ -949,20 +838,10 @@ class DiskShardStore:
         """
         epoch = self._require_epoch()
         directory = epoch.directory
-        filters = []
-        for entry in directory.shards:
-            offset = entry.start_page * directory.page_size
-            frame = bytes(epoch.buf[offset : offset + entry.frame_bytes])
-            filters.append(codec.loads(frame))
-        return ShardedFilterStore.from_parts(
-            filters=filters,
-            router_seed=directory.router_seed,
-            backend_name=directory.backend_name,
-            shard_key_counts=[entry.key_count for entry in directory.shards],
-            shard_generations=[entry.generation for entry in directory.shards],
-            shard_fingerprints=[entry.fingerprint for entry in directory.shards],
-            shard_backend_names=[entry.backend_name for entry in directory.shards],
-        )
+        filters = [
+            codec.loads(bytes(self._frame(epoch, entry))) for entry in directory.shards
+        ]
+        return ShardedFilterStore(filters, directory.router_seed, directory.shards)
 
     def verify(self) -> int:
         """Scrub every shard: directory CRC vs frame bytes, full decode.
@@ -974,8 +853,7 @@ class DiskShardStore:
         epoch = self._require_epoch()
         directory = epoch.directory
         for shard, entry in enumerate(directory.shards):
-            offset = entry.start_page * directory.page_size
-            frame = bytes(epoch.buf[offset : offset + entry.frame_bytes])
+            frame = bytes(self._frame(epoch, entry))
             crc = zlib.crc32(frame)
             if crc != entry.frame_crc:
                 raise CodecError(

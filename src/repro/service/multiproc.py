@@ -77,6 +77,9 @@ __all__ = ["SharedFrameArena", "ReplicaPool", "shared_mapping_memory"]
 _ARENA_IDS = itertools.count(1)
 _POOL_IDS = itertools.count(1)
 
+#: How often a generation swap's drain checks for replicas that died.
+_DRAIN_POLL_SECONDS = 0.05
+
 #: Sticky per-process answer to "does this process share the arena owner's
 #: resource tracker?".  Fork and forkserver children inherit the parent's
 #: tracker pipe, so their attach registrations are idempotent set-adds that
@@ -771,11 +774,30 @@ class ReplicaPool:
                 replica.conn.close()
         self._replicas = survivors
 
+    def _drop_free_tokens(self) -> None:
+        while True:
+            try:
+                self._free.get_nowait()
+            except queue.Empty:
+                return
+
     def _acquire_all(self) -> List[_Replica]:
-        """Drain the free queue: returns once no window is in flight."""
-        held = []
+        """Drain the free queue: returns once no window is in flight.
+
+        Waits only for live replicas, reaping any that die meanwhile (a dead
+        one never returns its token), then drops the stale tokens left in
+        the queue.  Fails at once when none survive; the next swap respawns.
+        """
+        held: List[_Replica] = []
         deadline = time.monotonic() + self._request_timeout
-        while len(held) < len(self._replicas):
+        while True:
+            self._reap_dead()
+            held = [replica for replica in held if replica in self._replicas]
+            if len(held) == len(self._replicas):
+                self._drop_free_tokens()
+                if not held:
+                    raise ServiceError("every replica died before the generation swap")
+                return held
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 for replica in held:
@@ -784,13 +806,11 @@ class ReplicaPool:
                     "timed out draining in-flight windows before a generation swap"
                 )
             try:
-                replica = self._free.get(timeout=remaining)
+                replica = self._free.get(timeout=min(remaining, _DRAIN_POLL_SECONDS))
             except queue.Empty:
                 continue
-            if not replica.process.is_alive():
-                continue  # stale token for a reaped replica
-            held.append(replica)
-        return held
+            if replica in self._replicas:  # else a stale token of a reaped one
+                held.append(replica)
 
     # ------------------------------------------------------------------ #
     # Loading and rebuilding
@@ -821,23 +841,31 @@ class ReplicaPool:
         swap acquires all replicas — draining in-flight windows — before any
         replica installs the new arena, so the answered-window stream sees
         generations in monotone order and no window mixes two.  Replicas
-        that died since the last swap (e.g. SIGKILL) are reaped first, so
-        the roll covers exactly the surviving fleet — an adaptive migration
-        lands on every replica still serving — and a fleet with no
-        survivors respawns in full.  Returns the new generation.
+        that died since the last swap (e.g. SIGKILL) are reaped first, and
+        any that die while the swap drains are reaped then, so the roll
+        covers exactly the surviving fleet — an adaptive migration lands on
+        every replica still serving.  A fleet with no survivors respawns in
+        full; one that loses its last replica during the drain fails the
+        roll, and the next swap respawns it.  Returns the new generation.
         """
+        return self._advance(
+            self._builder.rebuild,
+            keys,
+            negatives=negatives,
+            costs=costs,
+            changed_keys=changed_keys,
+            incremental=incremental,
+            workers=workers,
+        )
+
+    def _advance(self, move, *args, **kwargs) -> int:
+        """Reap dead replicas, move the builder with ``move(*args, **kwargs)``
+        and roll the fleet onto it, one swap at a time."""
         if self._closed:
             raise ServiceError("the replica pool is closed")
         with self._swap_lock:
             self._reap_dead()
-            generation = self._builder.rebuild(
-                keys,
-                negatives=negatives,
-                costs=costs,
-                changed_keys=changed_keys,
-                incremental=incremental,
-                workers=workers,
-            )
+            generation = move(*args, **kwargs)
             self._roll_replicas(generation)
             return generation
 
@@ -916,18 +944,13 @@ class ReplicaPool:
         :class:`~repro.service.replication.FollowerClient` pointed at a pool
         rolls all R replicas per applied delta.
         """
-        if self._closed:
-            raise ServiceError("the replica pool is closed")
-        with self._swap_lock:
-            self._reap_dead()
-            generation = self._builder.install_snapshot(
-                store,
-                num_keys=num_keys,
-                generation=generation,
-                rebuilt_shards=rebuilt_shards,
-            )
-            self._roll_replicas(generation)
-            return generation
+        return self._advance(
+            self._builder.install_snapshot,
+            store,
+            num_keys=num_keys,
+            generation=generation,
+            rebuilt_shards=rebuilt_shards,
+        )
 
     def apply_snapshot_delta(self, delta) -> int:
         """Apply a replication delta fleet-wide; returns the new generation."""
@@ -954,11 +977,7 @@ class ReplicaPool:
             with contextlib.suppress(Exception):
                 replica.conn.close()
         self._replicas = []
-        while True:
-            try:
-                self._free.get_nowait()
-            except queue.Empty:
-                break
+        self._drop_free_tokens()
         if self._reuseport_socket is not None:
             with contextlib.suppress(OSError):
                 self._reuseport_socket.close()

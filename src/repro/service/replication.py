@@ -31,21 +31,15 @@ reproduction into a one-builder/N-follower topology:
   per kind on the publisher, deltas applied / apply latency / staleness on
   the follower, and a per-follower lag gauge the builder exports.
 
-Frame layout (``HDLT``, version 1)::
-
-    offset 0   magic      4 bytes  b"HDLT"
-    offset 4   version    1 byte   currently 1
-    offset 5   kind       1 byte   1 = delta, 2 = full snapshot
-    offset 6   length     4 bytes  payload size (big-endian)
-    offset 10  payload    `length` bytes
-    offset -4  crc32      4 bytes  over version + kind + length + payload
-
-Both payload kinds open with ``base_generation u64 | new_generation u64 |
-num_shards u32 | router_seed u64``.  A *full* payload then carries the whole
-store as one nested codec frame; a *delta* payload carries, per shard in
-order, ``dirty u8 | key_count u64 | shard_generation u32 | has_fp u8 |
-fingerprint u64 | backend_name str`` plus — for dirty shards only — the
-shard filter's nested codec frame.
+Frame layout (``HDLT``, version 1): the codec's envelope
+(:func:`repro.service.codec._seal`) under magic ``b"HDLT"``, its kind byte
+1 for a delta and 2 for a full snapshot.  Both payload kinds open with
+``base_generation u64 | new_generation u64 | num_shards u32 | router_seed
+u64``.  A *full* payload then carries the whole store as one nested codec
+frame; a *delta* payload carries, per shard in order, ``dirty u8``, the
+shard's entry (:func:`repro.service.codec._write_entry`, the bytes the disk
+``DIRECTORY`` writes too) and — for dirty shards only — the shard filter's
+nested codec frame.
 """
 
 from __future__ import annotations
@@ -55,7 +49,6 @@ import socket
 import struct
 import threading
 import time
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -64,7 +57,7 @@ from repro.errors import CodecError, ServiceError
 from repro.obs import Registry, default_registry
 from repro.service import codec
 from repro.service.codec import _Reader, _Writer
-from repro.service.shards import ShardedFilterStore
+from repro.service.shards import ShardedFilterStore, ShardEntry
 
 __all__ = [
     "DELTA_MAGIC",
@@ -93,8 +86,6 @@ KIND_DELTA = 1
 #: Frame kind: a complete store (the stale-follower fallback).
 KIND_FULL = 2
 
-_DELTA_HEADER = struct.Struct(">4sBBI")
-
 #: Distinguishes publisher/follower instances inside shared metric families.
 _PUBLISHER_IDS = itertools.count(1)
 _FOLLOWER_IDS = itertools.count(1)
@@ -112,24 +103,11 @@ class StaleBaseError(ServiceError):
 
 @dataclass(frozen=True)
 class ShardPatch:
-    """One dirty shard inside a delta: its metadata plus its codec frame."""
+    """One dirty shard inside a delta: its index and its codec frame (the
+    shard's new entry is the delta's ``records[shard]``)."""
 
     shard: int
-    key_count: int
-    generation: int
-    fingerprint: Optional[int]
-    backend_name: str
     frame: bytes
-
-
-@dataclass(frozen=True)
-class _ShardRecord:
-    """A clean shard's expected state on the follower (validated on apply)."""
-
-    key_count: int
-    generation: int
-    fingerprint: Optional[int]
-    backend_name: str
 
 
 @dataclass(frozen=True)
@@ -143,8 +121,9 @@ class SnapshotDelta:
         new_generation: The service generation applying this frame installs.
         num_shards: Shard count of the target store.
         router_seed: Router seed of the target store (placement identity).
-        records: Per-shard expected state, in shard order (delta kind only;
-            dirty shards' records describe the *new* state).
+        records: Every shard's :class:`ShardEntry`, in shard order (delta
+            kind only): the state a clean shard must already have on the
+            follower, and the *new* state of a dirty one.
         patches: The dirty shards' frames, in shard order (delta kind only).
         store_frame: The whole store's codec frame (full kind only).
     """
@@ -154,7 +133,7 @@ class SnapshotDelta:
     new_generation: int
     num_shards: int
     router_seed: int
-    records: Tuple[_ShardRecord, ...] = ()
+    records: Tuple[ShardEntry, ...] = ()
     patches: Tuple[ShardPatch, ...] = ()
     store_frame: Optional[bytes] = None
 
@@ -171,35 +150,6 @@ class SnapshotDelta:
 # --------------------------------------------------------------------- #
 # Diffing and applying
 # --------------------------------------------------------------------- #
-def _shard_state(store: ShardedFilterStore, shard: int) -> _ShardRecord:
-    return _ShardRecord(
-        key_count=store.shard_key_counts[shard],
-        generation=store.shard_generations[shard],
-        fingerprint=store.shard_fingerprints[shard],
-        backend_name=store.shard_backend_names[shard],
-    )
-
-
-def _records_match(expected: _ShardRecord, actual: _ShardRecord) -> bool:
-    """Whether a clean-shard expectation matches the follower's state.
-
-    Fingerprints are the strong check but only when both sides know them
-    (a store assembled from parts may not); counts, per-shard generations
-    and backend names must always agree.
-    """
-    if (
-        expected.fingerprint is not None
-        and actual.fingerprint is not None
-        and expected.fingerprint != actual.fingerprint
-    ):
-        return False
-    return (
-        expected.key_count == actual.key_count
-        and expected.generation == actual.generation
-        and expected.backend_name == actual.backend_name
-    )
-
-
 def make_delta(
     old_snapshot,
     new_store: ShardedFilterStore,
@@ -238,33 +188,22 @@ def make_delta(
             f"delta generation must move forward: {new_generation} <= "
             f"base {base_generation}"
         )
-    records: List[_ShardRecord] = []
     patches: List[ShardPatch] = []
-    for shard in range(new_store.num_shards):
-        state = _shard_state(new_store, shard)
-        records.append(state)
-        clean = base_store.filters[shard] is new_store.filters[shard] or (
-            _records_match(_shard_state(base_store, shard), state)
-            and state.fingerprint is not None
+    for shard, entry in enumerate(new_store.entries):
+        filt = new_store.filters[shard]
+        clean = base_store.filters[shard] is filt or (
+            entry.fingerprint is not None
+            and base_store.entries[shard].agrees_with(entry)
         )
         if not clean:
-            patches.append(
-                ShardPatch(
-                    shard=shard,
-                    key_count=state.key_count,
-                    generation=state.generation,
-                    fingerprint=state.fingerprint,
-                    backend_name=state.backend_name,
-                    frame=codec.dumps(new_store.filters[shard]),
-                )
-            )
+            patches.append(ShardPatch(shard, codec.dumps(filt)))
     return SnapshotDelta(
         kind=KIND_DELTA,
         base_generation=base_generation,
         new_generation=new_generation,
         num_shards=new_store.num_shards,
         router_seed=new_store.router_seed,
-        records=tuple(records),
+        records=new_store.entries,
         patches=tuple(patches),
     )
 
@@ -324,24 +263,19 @@ def apply_delta(snapshot, delta: SnapshotDelta) -> ShardedFilterStore:
         )
     dirty = {patch.shard for patch in delta.patches}
     for shard in range(delta.num_shards):
-        if shard in dirty:
-            continue
-        if not _records_match(delta.records[shard], _shard_state(base_store, shard)):
+        if shard not in dirty and not delta.records[shard].agrees_with(
+            base_store.entries[shard]
+        ):
             raise StaleBaseError(
                 f"clean shard {shard} diverged from the delta's expectation "
                 "(fingerprint/count/generation/backend mismatch)"
             )
-    replacements: Dict[int, tuple] = {}
-    for patch in delta.patches:
-        filt = codec.loads(patch.frame)
-        replacements[patch.shard] = (
-            filt,
-            patch.key_count,
-            patch.generation,
-            patch.fingerprint,
-            patch.backend_name,
-        )
-    return base_store.replace_shards(replacements)
+    return base_store.replace_shards(
+        {
+            patch.shard: (codec.loads(patch.frame), delta.records[patch.shard])
+            for patch in delta.patches
+        }
+    )
 
 
 def apply_to_service(service, delta: Union[SnapshotDelta, bytes]) -> int:
@@ -404,114 +338,52 @@ def encode_delta(delta: SnapshotDelta) -> bytes:
         for shard, record in enumerate(delta.records):
             frame = frames.get(shard)
             writer.u8(0 if frame is None else 1)
-            writer.u64(record.key_count)
-            writer.u32(record.generation)
-            writer.u8(0 if record.fingerprint is None else 1)
-            writer.u64(record.fingerprint or 0)
-            writer.str_field(record.backend_name)
+            codec._write_entry(writer, record)
             if frame is not None:
                 writer.bytes_field(frame)
-    payload = writer.getvalue()
-    header = _DELTA_HEADER.pack(DELTA_MAGIC, DELTA_VERSION, delta.kind, len(payload))
-    crc = zlib.crc32(header[4:] + payload)
-    return header + payload + struct.pack(">I", crc)
+    return codec._seal(DELTA_MAGIC, DELTA_VERSION, delta.kind, writer.getvalue())
 
 
 def decode_delta(data) -> SnapshotDelta:
     """Decode one delta frame; every malformation raises :class:`CodecError`."""
-    if len(data) < _DELTA_HEADER.size + 4:
-        raise CodecError(
-            f"delta frame too short: {len(data)} bytes < minimum "
-            f"{_DELTA_HEADER.size + 4}"
-        )
-    data = bytes(data)
-    magic, version, kind, length = _DELTA_HEADER.unpack_from(data)
-    if magic != DELTA_MAGIC:
-        raise CodecError(f"bad delta magic {magic!r} (expected {DELTA_MAGIC!r})")
-    if version != DELTA_VERSION:
-        raise CodecError(f"unsupported delta version {version}")
+    _, kind, payload = codec._unseal(data, DELTA_MAGIC, (DELTA_VERSION,), "delta")
     if kind not in (KIND_DELTA, KIND_FULL):
         raise CodecError(f"unknown delta kind {kind}")
-    end = _DELTA_HEADER.size + length
-    if len(data) != end + 4:
+    reader = _Reader(payload)
+    base_generation = reader.u64()
+    new_generation = reader.u64()
+    num_shards = reader.u32()
+    router_seed = reader.u64()
+    if new_generation <= base_generation:
         raise CodecError(
-            f"delta length mismatch: header declares {length} payload bytes "
-            f"but frame holds {len(data) - _DELTA_HEADER.size - 4}"
+            f"delta generations do not move forward: {new_generation} <= "
+            f"{base_generation}"
         )
-    (stored_crc,) = struct.unpack_from(">I", data, end)
-    actual_crc = zlib.crc32(data[4:end])
-    if stored_crc != actual_crc:
-        raise CodecError(
-            f"delta checksum mismatch: stored {stored_crc:#010x}, computed "
-            f"{actual_crc:#010x}"
-        )
-    reader = _Reader(data[_DELTA_HEADER.size : end])
-    try:
-        base_generation = reader.u64()
-        new_generation = reader.u64()
-        num_shards = reader.u32()
-        router_seed = reader.u64()
-        if new_generation <= base_generation:
-            raise CodecError(
-                f"delta generations do not move forward: {new_generation} <= "
-                f"{base_generation}"
-            )
-        if num_shards < 1:
-            raise CodecError("delta frame declares zero shards")
-        if kind == KIND_FULL:
-            store_frame = bytes(reader.bytes_field())
-            reader.expect_end()
-            return SnapshotDelta(
-                kind=KIND_FULL,
-                base_generation=base_generation,
-                new_generation=new_generation,
-                num_shards=num_shards,
-                router_seed=router_seed,
-                store_frame=store_frame,
-            )
-        records: List[_ShardRecord] = []
-        patches: List[ShardPatch] = []
+    if num_shards < 1:
+        raise CodecError("delta frame declares zero shards")
+    records: List[ShardEntry] = []
+    patches: List[ShardPatch] = []
+    store_frame = None
+    if kind == KIND_FULL:
+        store_frame = bytes(reader.bytes_field())
+    else:
         for shard in range(num_shards):
             is_dirty = reader.u8()
             if is_dirty not in (0, 1):
                 raise CodecError(f"shard {shard} dirty flag {is_dirty} not 0/1")
-            key_count = reader.u64()
-            generation = reader.u32()
-            has_fingerprint = reader.u8()
-            fingerprint_value = reader.u64()
-            fingerprint = fingerprint_value if has_fingerprint else None
-            backend_name = reader.str_field()
-            record = _ShardRecord(
-                key_count=key_count,
-                generation=generation,
-                fingerprint=fingerprint,
-                backend_name=backend_name,
-            )
-            records.append(record)
+            records.append(codec._read_entry(reader))
             if is_dirty:
-                patches.append(
-                    ShardPatch(
-                        shard=shard,
-                        key_count=key_count,
-                        generation=generation,
-                        fingerprint=fingerprint,
-                        backend_name=backend_name,
-                        frame=bytes(reader.bytes_field()),
-                    )
-                )
-        reader.expect_end()
-    except CodecError:
-        raise
-    except Exception as exc:  # struct/unicode errors from garbage bytes
-        raise CodecError(f"malformed delta payload: {exc}") from exc
+                patches.append(ShardPatch(shard, bytes(reader.bytes_field())))
+    reader.expect_end()
     return SnapshotDelta(
-        kind=KIND_DELTA,
+        kind=kind,
         base_generation=base_generation,
         new_generation=new_generation,
         num_shards=num_shards,
         router_seed=router_seed,
         records=tuple(records),
         patches=tuple(patches),
+        store_frame=store_frame,
     )
 
 
@@ -521,7 +393,6 @@ def decode_delta(data) -> SnapshotDelta:
 #: Magic bytes opening every replication wire message.
 WIRE_MAGIC = b"HRPL"
 WIRE_VERSION = 1
-_WIRE_HEADER = struct.Struct(">4sBBI")
 #: Largest wire message either side will accept (a full snapshot of a very
 #: large store; bounded so a corrupt length field cannot demand petabytes).
 _WIRE_MAX_BYTES = 1 << 31
@@ -537,9 +408,7 @@ _SOCKET_TICK_SECONDS = 0.25
 
 def _send_message(sock: socket.socket, msg_type: int, payload: bytes) -> None:
     """Write one length-prefixed, CRC-trailed message."""
-    header = _WIRE_HEADER.pack(WIRE_MAGIC, WIRE_VERSION, msg_type, len(payload))
-    crc = zlib.crc32(header[4:] + payload)
-    sock.sendall(header + payload + struct.pack(">I", crc))
+    sock.sendall(codec._seal(WIRE_MAGIC, WIRE_VERSION, msg_type, payload))
 
 
 def _recv_exact(sock: socket.socket, count: int, should_stop) -> bytes:
@@ -567,22 +436,13 @@ def _recv_message(sock: socket.socket, should_stop) -> Tuple[int, bytes]:
     oversized length, checksum mismatch) and :class:`ConnectionError` when
     the peer goes away or ``should_stop`` turns true.
     """
-    header = _recv_exact(sock, _WIRE_HEADER.size, should_stop)
-    magic, version, msg_type, length = _WIRE_HEADER.unpack(header)
-    if magic != WIRE_MAGIC:
-        raise CodecError(f"bad wire magic {magic!r} (expected {WIRE_MAGIC!r})")
-    if version != WIRE_VERSION:
-        raise CodecError(f"unsupported wire version {version}")
+    header = _recv_exact(sock, codec._HEADER.size, should_stop)
+    _, msg_type, length = codec._open_header(header, WIRE_MAGIC, (WIRE_VERSION,), "wire")
     if length > _WIRE_MAX_BYTES:
         raise CodecError(f"wire message declares {length} bytes (limit {_WIRE_MAX_BYTES})")
     payload = _recv_exact(sock, length, should_stop)
     (stored_crc,) = struct.unpack(">I", _recv_exact(sock, 4, should_stop))
-    actual_crc = zlib.crc32(header[4:] + payload)
-    if stored_crc != actual_crc:
-        raise CodecError(
-            f"wire checksum mismatch: stored {stored_crc:#010x}, computed "
-            f"{actual_crc:#010x}"
-        )
+    codec._check_crc(header, payload, stored_crc, "wire")
     return msg_type, payload
 
 
@@ -1102,7 +962,7 @@ class FollowerClient:
             msg_type, payload = _recv_message(sock, lambda: self._closed)
             if msg_type != MSG_SNAPSHOT:
                 raise CodecError(f"expected SNAPSHOT, got message type {msg_type}")
-            self._bytes_received.inc(len(payload) + _WIRE_HEADER.size + 4)
+            self._bytes_received.inc(len(payload) + codec._HEADER.size + 4)
             start = time.perf_counter()
             try:
                 delta = decode_delta(payload)

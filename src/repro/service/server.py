@@ -435,36 +435,12 @@ class MembershipService:
         with self._swap_lock:
             current = self._snapshot
             generation = current.generation + 1 if current else 1
-            if self._store_path is not None:
-                # Durability before visibility: the constructed store is
-                # committed (incrementally — only the rebuilt shards'
-                # frames are appended) and the swap serves the committed
-                # epoch's lazy view, never the in-RAM construction.
-                if self._disk is None:
-                    self._disk = DiskShardStore.create(
-                        self._store_path,
-                        store,
-                        generation,
-                        cache_budget=self._cache_budget,
-                        registry=self._registry,
-                    )
-                else:
-                    self._disk.commit(store, generation, rebuilt_shards=rebuilt)
-                store = self._disk.serving_store()
-            self._snapshot = Snapshot(
-                generation=generation,
-                store=store,
-                num_keys=len(keys),
-                build_params=self._build_signature(),
-            )
-            if current is not None:
-                self._rebuilds.inc()
+            store = self._persist(store, generation, rebuilt)
+            self._swap(generation, store, len(keys), self._build_signature())
             self._shards_rebuilt.inc(len(rebuilt))
             self._shards_skipped.inc(len(skipped))
             self._rebuild_latency.record(watch.seconds)
             self._rebuild_seconds.observe(watch.seconds)
-            self._generation_gauge.set(generation)
-            self._keys_gauge.set(len(keys))
             if plan is not None:
                 self._last_plan = plan
                 self._adaptive_evals.inc()
@@ -484,6 +460,48 @@ class MembershipService:
                 # before it can move again (flap damping).
                 estimator.reset_shards(plan.migrations)
         return generation
+
+    def _persist(
+        self,
+        store: ShardedFilterStore,
+        generation: int,
+        rebuilt_shards: Optional[Sequence[int]],
+    ) -> ShardedFilterStore:
+        """Durability before visibility: disk mode commits ``store`` (only
+        ``rebuilt_shards``' frames when given) and serves the committed
+        epoch's lazy view, never the in-RAM construction.  Caller holds
+        ``_swap_lock``."""
+        if self._store_path is None:
+            return store
+        if self._disk is None:
+            self._disk = DiskShardStore.create(
+                self._store_path,
+                store,
+                generation,
+                cache_budget=self._cache_budget,
+                registry=self._registry,
+            )
+        else:
+            self._disk.commit(store, generation, rebuilt_shards=rebuilt_shards)
+        return self._disk.serving_store()
+
+    def _swap(
+        self,
+        generation: int,
+        store: ShardedFilterStore,
+        num_keys: int,
+        build_params: Optional[tuple] = None,
+    ) -> None:
+        """Serve a new snapshot, adopting the store's shard count and router
+        seed so a later :meth:`rebuild` keeps its placement.  Caller holds
+        ``_swap_lock``."""
+        if self._snapshot is not None:
+            self._rebuilds.inc()
+        self._num_shards = store.num_shards
+        self._router_seed = store.router_seed
+        self._snapshot = Snapshot(generation, store, num_keys, build_params)
+        self._generation_gauge.set(generation)
+        self._keys_gauge.set(num_keys)
 
     def open_store(self) -> int:
         """Open the existing on-disk store and serve its committed generation.
@@ -511,17 +529,7 @@ class MembershipService:
                     f"service forward (serving {previous.generation})"
                 )
             old_disk, self._disk = self._disk, disk
-            self._num_shards = store.num_shards
-            self._router_seed = store.router_seed
-            self._snapshot = Snapshot(
-                generation=generation,
-                store=store,
-                num_keys=store.num_keys(),
-            )
-            if previous is not None:
-                self._rebuilds.inc()
-            self._generation_gauge.set(generation)
-            self._keys_gauge.set(store.num_keys())
+            self._swap(generation, store, store.num_keys())
         if old_disk is not None and old_disk is not disk:
             old_disk.close()
         return generation
@@ -566,34 +574,12 @@ class MembershipService:
                     f"snapshot generation must move forward: {generation} <= "
                     f"current {previous.generation}"
                 )
-            if self._store_path is not None:
-                # Same durability contract as rebuild(): persist first, then
-                # serve the committed epoch's view.  Without provenance the
-                # commit is full; a delta apply passes its dirty set through.
-                if self._disk is None:
-                    self._disk = DiskShardStore.create(
-                        self._store_path,
-                        store,
-                        generation,
-                        cache_budget=self._cache_budget,
-                        registry=self._registry,
-                    )
-                else:
-                    self._disk.commit(store, generation, rebuilt_shards=rebuilt_shards)
-                if num_keys is None:
-                    num_keys = store.num_keys()
-                store = self._disk.serving_store()
-            self._num_shards = store.num_shards
-            self._router_seed = store.router_seed
-            self._snapshot = Snapshot(
-                generation=generation,
-                store=store,
-                num_keys=store.num_keys() if num_keys is None else num_keys,
-            )
-            if previous is not None:
-                self._rebuilds.inc()
-            self._generation_gauge.set(generation)
-            self._keys_gauge.set(store.num_keys() if num_keys is None else num_keys)
+            if num_keys is None:
+                num_keys = store.num_keys()
+            # Without provenance the disk commit is full; a delta apply
+            # passes its dirty set through.
+            store = self._persist(store, generation, rebuilt_shards)
+            self._swap(generation, store, num_keys)
         return generation
 
     def apply_snapshot_delta(self, delta) -> int:

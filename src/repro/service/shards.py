@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -78,6 +78,50 @@ _MASK64 = (1 << 64) - 1
 #: for means of 1.75-2 and 0.96 for 2-2.25.  Verdicts are the same either
 #: way: scalar ``contains`` is the oracle the engine is pinned to.
 SCALAR_KEYS_PER_GROUP = 2
+
+
+@dataclass(frozen=True)
+class ShardEntry:
+    """What the manifest records about one shard.
+
+    The codec store frame, the disk ``DIRECTORY`` and the replication delta
+    all write these four facts per shard, with the same bytes
+    (:func:`repro.service.codec._write_entry`).  ``fingerprint`` is the
+    order-independent digest of the shard's key multiset, or ``None`` when
+    unknown (a version-1 frame).
+    """
+
+    key_count: int
+    generation: int
+    fingerprint: Optional[int]
+    backend_name: str
+
+    def same_keys(self, other: "ShardEntry") -> bool:
+        """The incremental-rebuild test: ``other`` certainly holds this
+        shard's keys on its backend.  An unknown fingerprint is never
+        certain; generations are not compared."""
+        return (
+            self.fingerprint is not None
+            and self.fingerprint == other.fingerprint
+            and self.key_count == other.key_count
+            and self.backend_name == other.backend_name
+        )
+
+    def agrees_with(self, other: "ShardEntry") -> bool:
+        """The replication check on clean shards: counts, generations and
+        backend names agree, and fingerprints too when both sides know
+        them."""
+        if (
+            self.fingerprint is not None
+            and other.fingerprint is not None
+            and self.fingerprint != other.fingerprint
+        ):
+            return False
+        return (
+            self.key_count == other.key_count
+            and self.generation == other.generation
+            and self.backend_name == other.backend_name
+        )
 
 
 class EmptyShardFilter:
@@ -239,63 +283,35 @@ class ShardedFilterStore:
     shards concurrently); rebuild only the shards whose key sets changed
     with :meth:`rebuild_from`; query with :meth:`query` / :meth:`query_many`;
     persist with :func:`repro.service.codec.dumps` (the whole store is one
-    frame, including per-shard generations and fingerprints) and revive with
+    frame, including every shard's :class:`ShardEntry`) and revive with
     ``loads``.
+
+    ``entries`` holds one :class:`ShardEntry` per filter, in shard order.
+    The store-level :attr:`backend_name` is the entries' common backend
+    name, or ``"mixed"`` when they differ.
     """
 
     def __init__(
         self,
         filters: Sequence[object],
-        router_seed: int = 0,
-        backend_name: str = "unknown",
-        shard_key_counts: Optional[Sequence[int]] = None,
-        shard_generations: Optional[Sequence[int]] = None,
-        shard_fingerprints: Optional[Sequence[Optional[int]]] = None,
-        shard_backend_names: Optional[Sequence[str]] = None,
+        router_seed: int,
+        entries: Sequence[ShardEntry],
     ) -> None:
         if not filters:
             raise ConfigurationError("a sharded store needs at least one shard")
         self._filters: List[object] = list(filters)
+        self._entries: Tuple[ShardEntry, ...] = tuple(entries)
         num_shards = len(self._filters)
+        if len(self._entries) != num_shards:
+            raise ConfigurationError(
+                f"{len(self._entries)} shard entries for {num_shards} shards"
+            )
         self._router = ShardRouter(num_shards, seed=router_seed)
         self._router_seed = router_seed
-        self._backend_name = backend_name
-        counts = list(shard_key_counts) if shard_key_counts is not None else [0] * num_shards
-        generations = (
-            list(shard_generations) if shard_generations is not None else [1] * num_shards
-        )
-        fingerprints = (
-            list(shard_fingerprints)
-            if shard_fingerprints is not None
-            else [None] * num_shards
-        )
-        backend_names = (
-            list(shard_backend_names)
-            if shard_backend_names is not None
-            else [backend_name] * num_shards
-        )
-        for label, values in (
-            ("shard_key_counts", counts),
-            ("shard_generations", generations),
-            ("shard_fingerprints", fingerprints),
-            ("shard_backend_names", backend_names),
-        ):
-            if len(values) != num_shards:
-                raise ConfigurationError(
-                    f"{label} length {len(values)} != shard count {num_shards}"
-                )
-        self._shard_fingerprints: List[Optional[int]] = fingerprints
-        self._shard_backend_names: List[str] = backend_names
-        self._stats = [
-            ShardStats(
-                shard=index,
-                num_keys=counts[index],
-                size_in_bits=self._filter_bits(index),
-                generation=generations[index],
-                backend=backend_names[index],
-            )
-            for index in range(num_shards)
-        ]
+        names = {entry.backend_name for entry in self._entries}
+        self._backend_name = names.pop() if len(names) == 1 else "mixed"
+        self._queries = [0] * num_shards
+        self._positives = [0] * num_shards
         # Counter updates are read-modify-write; the serving layer queries
         # from multiple threads, so they need their own lock (queries
         # themselves touch only immutable filter state and stay lock-free).
@@ -577,8 +593,6 @@ class ShardedFilterStore:
         shard_keys, shard_negatives, shard_costs, fingerprints = cls._partition(
             router, keys, negatives, costs
         )
-        names = [entry[3] for entry in plan]
-        backend_name = names[0] if len(set(names)) == 1 else "mixed"
         built = cls._build_planned(
             plan,
             shard_keys,
@@ -589,12 +603,12 @@ class ShardedFilterStore:
             worker_mode,
         )
         return cls(
-            filters=[built[shard] for shard in range(num_shards)],
-            router_seed=router_seed,
-            backend_name=backend_name,
-            shard_key_counts=[len(group) for group in shard_keys],
-            shard_fingerprints=fingerprints,
-            shard_backend_names=names,
+            [built[shard] for shard in range(num_shards)],
+            router_seed,
+            [
+                ShardEntry(len(group), 1, fingerprint, planned[3])
+                for group, fingerprint, planned in zip(shard_keys, fingerprints, plan)
+            ],
         )
 
     @classmethod
@@ -636,20 +650,19 @@ class ShardedFilterStore:
         shard_keys, shard_negatives, shard_costs, fingerprints = cls._partition(
             router, keys, negatives, costs
         )
-        names = [entry[3] for entry in plan]
-        previous_counts = previous.shard_key_counts
-        previous_fingerprints = previous.shard_fingerprints
-        previous_names = previous.shard_backend_names
-        dirty = set()
-        for shard in range(router.num_shards):
-            known = previous_fingerprints[shard]
-            if (
-                known is None
-                or known != fingerprints[shard]
-                or previous_counts[shard] != len(shard_keys[shard])
-                or previous_names[shard] != names[shard]
-            ):
-                dirty.add(shard)
+        # Each shard's new keys under its old generation: a clean shard
+        # keeps this entry as it is, a dirty one moves the generation on.
+        fresh = [
+            ShardEntry(len(group), entry.generation, fingerprint, planned[3])
+            for group, entry, fingerprint, planned in zip(
+                shard_keys, previous.entries, fingerprints, plan
+            )
+        ]
+        dirty = {
+            shard
+            for shard, entry in enumerate(previous.entries)
+            if not entry.same_keys(fresh[shard])
+        }
         if changed_keys is not None:
             for key in changed_keys:
                 dirty.add(router.shard_of(key))
@@ -662,96 +675,41 @@ class ShardedFilterStore:
             workers,
             worker_mode,
         )
-        previous_generations = previous.shard_generations
         filters: List[object] = []
-        generations: List[int] = []
-        final_names: List[str] = []
-        for shard in range(router.num_shards):
+        for shard, entry in enumerate(fresh):
             if shard in dirty:
                 filters.append(built[shard])
-                generations.append(previous_generations[shard] + 1)
-                final_names.append(names[shard])
+                fresh[shard] = replace(entry, generation=entry.generation + 1)
             else:
                 filters.append(previous.filters[shard])
-                generations.append(previous_generations[shard])
-                final_names.append(previous_names[shard])
-        store = cls(
-            filters=filters,
-            router_seed=previous.router_seed,
-            backend_name=(
-                final_names[0] if len(set(final_names)) == 1 else "mixed"
-            ),
-            shard_key_counts=[len(group) for group in shard_keys],
-            shard_generations=generations,
-            shard_fingerprints=fingerprints,
-            shard_backend_names=final_names,
-        )
+        store = cls(filters, previous.router_seed, fresh)
         rebuilt = sorted(dirty)
         skipped = [shard for shard in range(router.num_shards) if shard not in dirty]
         return store, rebuilt, skipped
 
     def replace_shards(
-        self,
-        replacements: Mapping[int, Tuple[object, int, int, Optional[int], str]],
+        self, replacements: Mapping[int, Tuple[object, ShardEntry]]
     ) -> "ShardedFilterStore":
         """A successor store with ``replacements`` swapped in, rest shared.
 
-        ``replacements`` maps shard index → ``(filter, key_count,
-        generation, fingerprint, backend_name)``.  Untouched shards share
-        this store's filter objects by identity and keep their metadata —
-        the assembly the replication tier uses to apply an O(dirty-shard)
-        delta on a follower (clean shards may be lazy disk proxies; they
-        pass through untouched and stay cold).
+        ``replacements`` maps shard index → ``(filter, entry)``.  Untouched
+        shards share this store's filter objects by identity and keep their
+        entries — the assembly the replication tier uses to apply an
+        O(dirty-shard) delta on a follower (clean shards may be lazy disk
+        proxies; they pass through untouched and stay cold).
         """
         num_shards = self.num_shards
         filters = list(self._filters)
-        counts = self.shard_key_counts
-        generations = self.shard_generations
-        fingerprints = self.shard_fingerprints
-        names = self.shard_backend_names
-        for shard, parts in replacements.items():
+        entries = list(self._entries)
+        for shard, (filt, entry) in replacements.items():
             if not 0 <= shard < num_shards:
                 raise ConfigurationError(
                     f"replacement names shard {shard}, but the store has "
                     f"{num_shards} shards"
                 )
-            filt, key_count, generation, fingerprint, backend_name = parts
             filters[shard] = filt
-            counts[shard] = key_count
-            generations[shard] = generation
-            fingerprints[shard] = fingerprint
-            names[shard] = backend_name
-        return ShardedFilterStore.from_parts(
-            filters=filters,
-            router_seed=self._router_seed,
-            backend_name=names[0] if len(set(names)) == 1 else "mixed",
-            shard_key_counts=counts,
-            shard_generations=generations,
-            shard_fingerprints=fingerprints,
-            shard_backend_names=names,
-        )
-
-    @classmethod
-    def from_parts(
-        cls,
-        filters: Sequence[object],
-        router_seed: int,
-        backend_name: str,
-        shard_key_counts: Optional[Sequence[int]] = None,
-        shard_generations: Optional[Sequence[int]] = None,
-        shard_fingerprints: Optional[Sequence[Optional[int]]] = None,
-        shard_backend_names: Optional[Sequence[str]] = None,
-    ) -> "ShardedFilterStore":
-        """Reassemble a store from decoded parts (used by the codec)."""
-        return cls(
-            filters=filters,
-            router_seed=router_seed,
-            backend_name=backend_name,
-            shard_key_counts=shard_key_counts,
-            shard_generations=shard_generations,
-            shard_fingerprints=shard_fingerprints,
-            shard_backend_names=shard_backend_names,
-        )
+            entries[shard] = entry
+        return ShardedFilterStore(filters, self._router_seed, entries)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -777,22 +735,27 @@ class ShardedFilterStore:
         return self._filters
 
     @property
+    def entries(self) -> Tuple[ShardEntry, ...]:
+        """Every shard's :class:`ShardEntry`, in shard order."""
+        return self._entries
+
+    @property
     def shard_key_counts(self) -> List[int]:
         """Positive keys per shard at build time."""
-        return [stats.num_keys for stats in self._stats]
+        return [entry.key_count for entry in self._entries]
 
     @property
     def shard_generations(self) -> List[int]:
         """Per-shard rebuild counters (a shard's generation only moves when
         that shard is actually reconstructed; contrast the service-level
         generation, which moves on every snapshot swap)."""
-        return [stats.generation for stats in self._stats]
+        return [entry.generation for entry in self._entries]
 
     @property
     def shard_fingerprints(self) -> List[Optional[int]]:
         """Order-independent digests of each shard's key multiset (``None``
-        when unknown, e.g. a store assembled from parts without them)."""
-        return list(self._shard_fingerprints)
+        when unknown, e.g. a store decoded from a version-1 frame)."""
+        return [entry.fingerprint for entry in self._entries]
 
     @property
     def shard_backend_names(self) -> List[str]:
@@ -802,16 +765,30 @@ class ShardedFilterStore:
         make entries diverge, at which point the store-level name reads
         ``"mixed"`` and these names are what the codec persists.
         """
-        return list(self._shard_backend_names)
+        return [entry.backend_name for entry in self._entries]
 
     def shard_stats(self) -> List[ShardStats]:
         """Point-in-time copies of the per-shard counters."""
         with self._stats_lock:
-            return [replace(stats) for stats in self._stats]
+            counters = list(zip(self._queries, self._positives))
+        return [
+            ShardStats(
+                shard=shard,
+                num_keys=entry.key_count,
+                queries=queries,
+                positives=positives,
+                size_in_bits=self._filter_bits(shard),
+                generation=entry.generation,
+                backend=entry.backend_name,
+            )
+            for shard, (entry, (queries, positives)) in enumerate(
+                zip(self._entries, counters)
+            )
+        ]
 
     def num_keys(self) -> int:
         """Total positive keys across all shards."""
-        return sum(stats.num_keys for stats in self._stats)
+        return sum(entry.key_count for entry in self._entries)
 
     def _filter_bits(self, shard: int) -> int:
         size = getattr(self._filters[shard], "size_in_bits", None)
@@ -855,10 +832,9 @@ class ShardedFilterStore:
         shard = self._router.shard_of(key)
         answer = self._filters[shard].contains(key)
         with self._stats_lock:
-            stats = self._stats[shard]
-            stats.queries += 1
+            self._queries[shard] += 1
             if answer:
-                stats.positives += 1
+                self._positives[shard] += 1
         return answer
 
     def query_many(self, keys: "vec.BatchLike") -> List[bool]:
@@ -922,9 +898,8 @@ class ShardedFilterStore:
                 if answer:
                     hits += 1
             with self._stats_lock:
-                stats = self._stats[shard]
-                stats.queries += len(positions)
-                stats.positives += hits
+                self._queries[shard] += len(positions)
+                self._positives[shard] += hits
         return results
 
     def _query_many_vectorized(self, np, batch: "vec.KeyBatch") -> List[bool]:
@@ -952,9 +927,8 @@ class ShardedFilterStore:
                         )
             results[positions] = answers
             with self._stats_lock:
-                stats = self._stats[int(shard)]
-                stats.queries += int(positions.size)
-                stats.positives += int(np.count_nonzero(answers))
+                self._queries[shard] += int(positions.size)
+                self._positives[shard] += int(np.count_nonzero(answers))
         return results.tolist()
 
     def record_shard_traffic(self, keys: "vec.BatchLike", verdicts: Sequence[bool]):
@@ -978,18 +952,16 @@ class ShardedFilterStore:
             with self._stats_lock:
                 for shard in np.unique(shards):
                     mask = shards == shard
-                    stats = self._stats[int(shard)]
-                    stats.queries += int(np.count_nonzero(mask))
-                    stats.positives += int(np.count_nonzero(hits[mask]))
+                    self._queries[shard] += int(np.count_nonzero(mask))
+                    self._positives[shard] += int(np.count_nonzero(hits[mask]))
             return shards
         plain = list(keys.keys) if isinstance(keys, vec.KeyBatch) else list(keys)
         shards = [self._router.shard_of(key) for key in plain]
         with self._stats_lock:
             for shard, verdict in zip(shards, verdicts):
-                stats = self._stats[shard]
-                stats.queries += 1
+                self._queries[shard] += 1
                 if verdict:
-                    stats.positives += 1
+                    self._positives[shard] += 1
         return shards
 
     def __contains__(self, key: Key) -> bool:

@@ -23,6 +23,7 @@ and ``tests/property/test_diskstore_fuzz.py``.
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.obs.export import render_text
 from repro.service import codec
 from repro.service.backends import available_backends, get_backend
 from repro.service.diskstore import (
+    DIRECTORY_NAME,
     DiskShardStore,
     DirectoryEntry,
     _Directory,
@@ -149,15 +151,48 @@ class TestDirectoryFormat:
 
     def test_rejects_run_past_next_free_page(self):
         directory = self._directory()
-        directory.shards[1].start_page = 9  # 2000 bytes / 256 = 8 pages > end
+        first, second = directory.shards
+        # 2000 bytes / 256 = 8 pages > end
+        directory = replace(directory, shards=(first, replace(second, start_page=9)))
         with pytest.raises(CodecError, match="exceeds"):
             _Directory.decode(directory.encode())
 
     def test_rejects_sub_header_frame(self):
         directory = self._directory()
-        directory.shards[0].frame_bytes = 4
+        first, second = directory.shards
+        directory = replace(directory, shards=(replace(first, frame_bytes=4), second))
         with pytest.raises(CodecError, match="smaller"):
             _Directory.decode(directory.encode())
+
+    @staticmethod
+    def _resealed(path, edit) -> None:
+        """Rewrite a store's DIRECTORY payload with ``edit``, under a valid
+        length and CRC, so only the decoder's payload checks can object."""
+        record = (path / DIRECTORY_NAME).read_bytes()
+        payload = edit(record[9:-4])
+        body = record[:5] + len(payload).to_bytes(4, "big") + payload
+        (path / DIRECTORY_NAME).write_bytes(
+            body + zlib.crc32(body[4:]).to_bytes(4, "big")
+        )
+
+    def test_open_rejects_a_backend_name_that_is_not_utf8(self, tmp_path, ram_store):
+        _create(tmp_path, ram_store).close()
+        path = tmp_path / "store"
+
+        def break_last_shard_name(payload: bytes) -> bytes:
+            at = payload.rindex(b"bloom-dh")
+            return payload[:at] + b"\xff" + payload[at + 1 :]
+
+        self._resealed(path, break_last_shard_name)
+        with pytest.raises(CodecError, match="UTF-8"):
+            DiskShardStore.open(path, registry=Registry())
+
+    def test_open_rejects_trailing_payload_bytes(self, tmp_path, ram_store):
+        _create(tmp_path, ram_store).close()
+        path = tmp_path / "store"
+        self._resealed(path, lambda payload: payload + b"\x00\x00\x00")
+        with pytest.raises(CodecError, match="trailing"):
+            DiskShardStore.open(path, registry=Registry())
 
 
 # --------------------------------------------------------------------- #

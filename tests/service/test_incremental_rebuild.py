@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -152,11 +154,10 @@ def test_rebuild_from_shares_clean_shard_filters(dataset):
 
 def test_rebuild_from_treats_unknown_fingerprints_as_dirty(dataset):
     previous = ShardedFilterStore.build(dataset.positives, num_shards=4, backend="bloom")
-    stripped = ShardedFilterStore.from_parts(
-        filters=previous.filters,
-        router_seed=previous.router_seed,
-        backend_name=previous.backend_name,
-        shard_key_counts=previous.shard_key_counts,
+    stripped = ShardedFilterStore(
+        previous.filters,
+        previous.router_seed,
+        [replace(entry, fingerprint=None) for entry in previous.entries],
     )
     store, rebuilt, skipped = ShardedFilterStore.rebuild_from(
         stripped, dataset.positives, backend="bloom"

@@ -290,6 +290,52 @@ class TestGenerationConsistency:
             answer = pool.query_batch(probe)
             assert answer.generation == 2 and answer.verdicts[-1] is True
 
+    def test_replica_killed_during_a_roll_does_not_stall_it(self, monkeypatch):
+        """A replica dies after the swap reaped the fleet, while the roll is
+        held: the drain must reap it and roll the survivor at once, not wait
+        out ``request_timeout`` for a token the dead process never returns."""
+        entered, release = threading.Event(), threading.Event()
+        publish = SharedFrameArena.publish.__func__
+
+        def held_publish(cls, store, generation, name=None):
+            if generation == 2:
+                entered.set()
+                release.wait(timeout=60)
+            return publish(cls, store, generation, name)
+
+        monkeypatch.setattr(SharedFrameArena, "publish", classmethod(held_publish))
+        with ReplicaPool(
+            replicas=2, backend="bloom", num_shards=2, bits_per_key=10.0,
+            request_timeout=30.0,
+        ) as pool:
+            pool.load(KEYS)
+            errors = []
+
+            def roll():
+                try:
+                    pool.rebuild(KEYS + ["killed-roll-key"])
+                except Exception as exc:  # surfaced by the assert below
+                    errors.append(exc)
+
+            worker = threading.Thread(target=roll, daemon=True)
+            worker.start()
+            try:
+                assert entered.wait(timeout=60), "the rebuild never reached the roll"
+                victim = pool._replicas[0].process
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=30)
+                assert not victim.is_alive()
+            finally:
+                release.set()
+                start = time.monotonic()
+                worker.join(timeout=60)
+            elapsed = time.monotonic() - start
+            assert not worker.is_alive() and errors == []
+            assert elapsed < 5.0, f"the roll stalled for {elapsed:.1f}s"
+            assert pool.generation == 2
+            answer = pool.query_batch(KEYS[:8] + ["killed-roll-key"])
+            assert answer.generation == 2 and answer.verdicts[-1] is True
+
     def test_windows_never_mix_generations_under_load(self):
         """Rebuild while 8 async clients hammer the pool through the batcher:
         every answered window carries exactly one generation, and each

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
+import struct
 import threading
 import time
 
@@ -29,7 +31,7 @@ import pytest
 
 from repro.errors import CodecError, ConfigurationError, ServiceError
 from repro.obs import Registry
-from repro.service import codec, diskstore
+from repro.service import codec, diskstore, replication
 from repro.service.diskstore import DIRECTORY_NAME, DiskShardStore, _Directory
 from repro.service.multiproc import ReplicaPool, SharedFrameArena
 from repro.service.replication import (
@@ -47,7 +49,7 @@ from repro.service.replication import (
     make_delta,
 )
 from repro.service.server import MembershipService, Snapshot
-from repro.service.shards import ShardedFilterStore
+from repro.service.shards import ShardedFilterStore, ShardEntry
 from repro.workloads.shalla import generate_shalla_like
 
 BACKEND = dict(backend="bloom", bits_per_key=12.0)
@@ -87,7 +89,9 @@ def _successor(base_store, keys):
 def test_replace_shards_shares_clean_filters_by_identity(dataset):
     store = _build(dataset.positives)
     patch_filter = _build(dataset.positives[:40], num_shards=1).filters[0]
-    successor = store.replace_shards({1: (patch_filter, 40, 7, 123456, "bloom")})
+    successor = store.replace_shards(
+        {1: (patch_filter, ShardEntry(40, 7, 123456, "bloom"))}
+    )
     assert successor.filters[1] is patch_filter
     for shard in (0, 2, 3):
         assert successor.filters[shard] is store.filters[shard]
@@ -101,7 +105,7 @@ def test_replace_shards_shares_clean_filters_by_identity(dataset):
 def test_replace_shards_rejects_out_of_range_index(dataset):
     store = _build(dataset.positives)
     with pytest.raises(ConfigurationError, match="shard 9"):
-        store.replace_shards({9: (store.filters[0], 1, 1, None, "bloom")})
+        store.replace_shards({9: (store.filters[0], ShardEntry(1, 1, None, "bloom"))})
 
 
 # --------------------------------------------------------------------- #
@@ -310,6 +314,30 @@ def test_follower_reconnects_after_connection_loss(dataset):
             assert client.wait_for_generation(2, timeout=30)
             assert follower.query("repl-reconnect")
             assert client.reconnects >= 1
+
+
+def test_hello_with_a_label_that_is_not_utf8_counts_as_a_ship_failure(
+    dataset, monkeypatch
+):
+    """A malformed HELLO drops that connection as a typed ship failure; it
+    must not kill the ship thread with an uncaught exception."""
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    builder = _service()
+    builder.load(dataset.positives)
+    with BuilderPublisher(builder, registry=Registry()) as pub:
+        host, port = pub.start()
+        pub.publish()
+        hello = struct.pack(">QI", 0, 2) + b"\xff\xfe"  # generation, label
+        with socket.create_connection((host, port), timeout=10) as sock:
+            replication._send_message(sock, replication.MSG_HELLO, hello)
+            deadline = time.monotonic() + 30
+            while pub._ship_failures.value == 0 and not uncaught:
+                assert time.monotonic() < deadline, "the bad HELLO never surfaced"
+                time.sleep(0.05)
+        assert pub._ship_failures.value == 1
+        assert pub.follower_states() == []
+    assert uncaught == []
 
 
 def test_publisher_requires_snapshot_and_closes_cleanly(dataset):
