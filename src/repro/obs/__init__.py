@@ -30,6 +30,7 @@ from typing import Optional
 from repro.obs.core import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
+    RECENT_SAMPLES,
     CollectedFamily,
     Counter,
     Gauge,
@@ -62,6 +63,7 @@ __all__ = [
     "null_registry",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
+    "RECENT_SAMPLES",
     "render_text",
     "parse_families",
     "CONTENT_TYPE",

@@ -15,6 +15,9 @@ client-library data model without importing it:
   float add — so instrumented code can sit next to the hash hot path; the
   obs overhead benchmark (``benchmarks/test_obs_overhead.py``) gates the
   end-to-end cost at ≤5% of async-serving throughput;
+* every histogram child also keeps its last :data:`RECENT_SAMPLES`
+  observations, so ``stats()`` reads exact p50/p95/p99 from the same
+  instrument whose buckets ``/metrics`` exports;
 * :class:`NullRegistry` hands out no-op instruments, so "instrumentation
   disabled" is a constructor argument, not a code path fork.
 
@@ -26,11 +29,12 @@ from __future__ import annotations
 import re
 import threading
 import weakref
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.metrics.timing import histogram_quantile
+from repro.metrics.timing import LatencyPercentiles, histogram_quantile, latency_percentiles
 
 __all__ = [
     "Counter",
@@ -44,6 +48,7 @@ __all__ = [
     "null_registry",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
+    "RECENT_SAMPLES",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -85,6 +90,9 @@ DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
     1024.0,
     4096.0,
 )
+
+#: Most recent observations each histogram child keeps for exact percentiles.
+RECENT_SAMPLES = 4096
 
 _INF = float("inf")
 
@@ -200,9 +208,10 @@ class _GaugeChild:
 
 
 class _HistogramChild:
-    """Cumulative bucket counts + sum/count for one label set."""
+    """Cumulative bucket counts + sum/count for one label set, plus the last
+    :data:`RECENT_SAMPLES` observations for exact percentiles."""
 
-    __slots__ = ("_lock", "_bounds", "_counts", "_sum", "_count")
+    __slots__ = ("_lock", "_bounds", "_counts", "_sum", "_count", "_recent")
 
     def __init__(self, bounds: Tuple[float, ...]) -> None:
         self._lock = threading.Lock()
@@ -210,6 +219,7 @@ class _HistogramChild:
         self._counts = [0] * (len(bounds) + 1)
         self._sum = 0.0
         self._count = 0
+        self._recent: Deque[float] = deque(maxlen=RECENT_SAMPLES)
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -224,6 +234,7 @@ class _HistogramChild:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
+            self._recent.append(value)
 
     @property
     def sum(self) -> float:
@@ -246,6 +257,17 @@ class _HistogramChild:
         if count == 0:
             return 0.0
         return histogram_quantile(q, list(bounds) + [_INF], counts)
+
+    def percentiles(self) -> Optional[LatencyPercentiles]:
+        """Exact p50/p95/p99 over the last :data:`RECENT_SAMPLES`
+        observations, or ``None`` before the first one.
+
+        The window is copied under the lock :meth:`observe` appends under,
+        so a reader racing writers summarises one consistent window.
+        """
+        with self._lock:
+            window = list(self._recent)
+        return latency_percentiles(window) if window else None
 
 
 class _Instrument:
@@ -395,6 +417,9 @@ class Histogram(_Instrument):
     def approx_quantile(self, q: float) -> float:
         return self._default_child().approx_quantile(q)
 
+    def percentiles(self) -> Optional[LatencyPercentiles]:
+        return self._default_child().percentiles()
+
     def _samples_for(self, labels, child) -> Iterable[Sample]:
         bounds, counts, total, count = child.snapshot()
         cumulative = 0
@@ -530,7 +555,8 @@ class Registry:
 
 
 class _NullChild:
-    """Absorbs every instrument operation; reads as zero."""
+    """Absorbs every instrument operation; reads as zero (percentiles as
+    ``None``)."""
 
     def inc(self, amount: float = 1.0) -> None:
         pass
@@ -549,6 +575,9 @@ class _NullChild:
 
     def approx_quantile(self, q: float) -> float:
         return 0.0
+
+    def percentiles(self) -> None:
+        return None
 
     def snapshot(self):
         return (), [], 0.0, 0

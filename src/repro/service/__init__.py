@@ -101,7 +101,6 @@ from repro.service.shards import (
 )
 from repro.service.stats import (
     AdaptiveStats,
-    LatencyWindow,
     MicroBatchStats,
     ServiceStats,
     ShardStats,
@@ -141,7 +140,6 @@ __all__ = [
     "EmptyShardFilter",
     "ServiceStats",
     "ShardStats",
-    "LatencyWindow",
     "available_backends",
     "get_backend",
     "register_backend",

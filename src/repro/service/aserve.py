@@ -16,8 +16,8 @@ that gap with three pieces, all stdlib-only:
   optional minimal HTTP/1.1 handler, both feeding the micro-batcher, so any
   number of connections share one engine dispatch stream.
 * :class:`repro.service.stats.MicroBatchStats` — batch-size / wait-time /
-  queue-depth percentiles surfaced through ``stats()`` next to the service's
-  own counters.
+  queue-depth percentiles, read from the batcher's registry histograms and
+  surfaced through ``stats()`` next to the service's own counters.
 
 Window policy (the "adaptive" part)
 -----------------------------------
@@ -77,7 +77,7 @@ from repro.obs import (
     stage,
 )
 from repro.service.server import BatchAnswer, MembershipService
-from repro.service.stats import LatencyWindow, MicroBatchStats, ServiceStats
+from repro.service.stats import MicroBatchStats, ServiceStats
 
 __all__ = ["AdaptiveMicroBatcher", "AsyncMembershipServer"]
 
@@ -135,7 +135,6 @@ class AdaptiveMicroBatcher:
             the flusher hands each window to a dispatch task and immediately
             starts collecting the next, so R replica processes answer R
             windows concurrently.
-        stats_window: Samples kept for each percentile distribution.
         tracer: Mints one trace per flush window (stages ``queue_wait``,
             ``window_assembly``, ``engine_dispatch``, and — inside the store
             — ``shard_probe``).  Defaults to a tracer on the service's
@@ -153,7 +152,6 @@ class AdaptiveMicroBatcher:
         max_wait_ms: float = 2.0,
         min_wait_ms: float = 0.0,
         executor: Optional[ThreadPoolExecutor] = None,
-        stats_window: int = 4096,
         tracer: Optional[Tracer] = None,
         dispatch_parallelism: Optional[int] = None,
     ) -> None:
@@ -190,12 +188,6 @@ class AdaptiveMicroBatcher:
         self._flusher: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
         self._more: Optional[asyncio.Event] = None
-        # Exact-percentile windows (event-loop thread only, aside from the
-        # lock they carry internally); the monotone counters live as registry
-        # instruments below.
-        self._batch_sizes = LatencyWindow(stats_window)
-        self._waits = LatencyWindow(stats_window)
-        self._depths = LatencyWindow(stats_window)
         registry = getattr(service, "registry", None)
         self._registry: Registry = registry if registry is not None else default_registry()
         self._tracer = tracer if tracer is not None else Tracer(registry=self._registry)
@@ -356,10 +348,11 @@ class AdaptiveMicroBatcher:
     def batching_stats(self) -> MicroBatchStats:
         """Point-in-time micro-batcher counters and distributions.
 
-        The counter fields are views over this batcher's registry instrument
+        Every field is a view over this batcher's registry instrument
         children (``flushes`` derives as full + timer — every successful
-        dispatch is exactly one of the two); the percentile fields come from
-        the exact-sample windows.
+        dispatch is exactly one of the two); the percentile fields are the
+        histogram children's exact percentiles, so ``queue_depth`` samples
+        the pending keys once per flush, as ``/metrics`` does.
         """
         full = int(self._full_flushes.value)
         timer = int(self._timer_flushes.value)
@@ -372,9 +365,9 @@ class AdaptiveMicroBatcher:
             bypassed_batches=int(self._bypassed_batches.value),
             cancelled_callers=int(self._cancelled_callers.value),
             current_wait_ms=self.current_wait_seconds * 1e3,
-            batch_size=self._batch_sizes.percentiles(),
-            wait=self._waits.percentiles(),
-            queue_depth=self._depths.percentiles(),
+            batch_size=self._batch_size_hist.percentiles(),
+            wait=self._window_seconds_hist.percentiles(),
+            queue_depth=self._depth_hist.percentiles(),
         )
 
     def stats(self) -> ServiceStats:
@@ -407,10 +400,6 @@ class AdaptiveMicroBatcher:
         self._spans.append(_Span(keys, future, batch))
         self._pending_keys += len(keys)
         self._arrivals += 1
-        # Exact per-enqueue depths stay in the ring window; the histogram
-        # mirror samples once per flush instead (an observe per enqueue is
-        # measurable at wire rates).
-        self._depths.record(float(self._pending_keys))
         self._wake.set()
         self._more.set()
         return await future
@@ -546,9 +535,7 @@ class AdaptiveMicroBatcher:
             self._full_flushes.inc()
         else:
             self._timer_flushes.inc()
-        self._batch_sizes.record(float(taken_keys))
         self._batch_size_hist.observe(float(taken_keys))
-        self._waits.record(waited_seconds)
         self._window_seconds_hist.observe(waited_seconds)
         offset = 0
         for span in spans:

@@ -63,14 +63,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import CodecError, ServiceError
 from repro.hashing import vectorized as vec
 from repro.hashing.base import Key
-from repro.metrics.timing import latency_percentiles
 from repro.obs import CollectedFamily, FprEstimator, Registry, Sample, default_registry
 from repro.service import codec
 from repro.service.adaptive import AdaptivePolicy
 from repro.service.backends import BackendSpec
 from repro.service.server import BatchAnswer, MembershipService
 from repro.service.shards import ShardedFilterStore
-from repro.service.stats import LatencyWindow, ServiceStats
+from repro.service.stats import ServiceStats
 
 __all__ = ["SharedFrameArena", "ReplicaPool", "shared_mapping_memory"]
 
@@ -79,6 +78,9 @@ _POOL_IDS = itertools.count(1)
 
 #: How often a generation swap's drain checks for replicas that died.
 _DRAIN_POLL_SECONDS = 0.05
+#: Pause after a stats sweep hands back a replica it already asked, so it
+#: does not spin on that token while the replicas it still needs are busy.
+_STATS_RETRY_SECONDS = 0.001
 
 #: Sticky per-process answer to "does this process share the arena owner's
 #: resource tracker?".  Fork and forkserver children inherit the parent's
@@ -638,7 +640,6 @@ class ReplicaPool:
         self._reuseport_socket: Optional[socket.socket] = None
         self._closed = False
         self._swap_lock = threading.Lock()
-        self._latency = LatencyWindow(4096)
         self._obs_label = f"pool-{next(_POOL_IDS)}"
         self._make_instruments()
         self._registry.add_collector(self._collect_replica_families)
@@ -673,6 +674,11 @@ class ReplicaPool:
         self._rejected = registry.counter(
             "repro_service_rejected_batches_total",
             "Batch calls refused (empty or oversized)",
+            ("service",),
+        ).labels(label)
+        self._query_seconds = registry.histogram(
+            "repro_query_seconds",
+            "Per-key query latency; each batch contributes its per-key average once",
             ("service",),
         ).labels(label)
         # The builder's own child reports the generation it built; the
@@ -1045,7 +1051,7 @@ class ReplicaPool:
         if positives:
             self._replica_positives[index].inc(positives)
         self._replica_dispatch[index].observe(elapsed)
-        self._latency.record(elapsed / max(count, 1))
+        self._query_seconds.observe(elapsed / max(count, 1))
         # Replicas answer from their own store copies, so the builder's
         # per-shard counters (the adaptive scorer's traffic evidence) and
         # the FPR estimator only see this window if the parent feeds it
@@ -1193,8 +1199,10 @@ class ReplicaPool:
         Build/rebuild counters come from the parent's builder, the
         generation from the fleet (:attr:`generation`); traffic
         counters are the parent-side dispatch accounting summed over
-        replicas.  Without an estimator or adaptive policy the per-shard
-        rows report build-time facts only (replica-resident counters are
+        replicas, and ``latency`` is the pool's own ``repro_query_seconds``
+        child (per-key round trip of each window).  Without an estimator or
+        adaptive policy the per-shard rows report build-time facts only
+        (replica-resident counters are
         available via :meth:`stats_by_replica`); with one attached, the
         parent's window feedback keeps the builder's shard counters — and
         therefore the rows here — tracking replica traffic.
@@ -1205,37 +1213,63 @@ class ReplicaPool:
         stats.batches = sum(int(child.value) for child in self._replica_windows)
         stats.positives = sum(int(child.value) for child in self._replica_positives)
         stats.rejected_batches = int(self._rejected.value)
-        samples = self._latency.samples()
-        stats.latency = latency_percentiles(samples) if samples else None
+        stats.latency = self._query_seconds.percentiles()
         return stats
 
     def stats_by_replica(self) -> List[dict]:
-        """Fetch each replica's own counters over the control channel.
+        """One report per live replica, in index order, over the control
+        channel; includes replica-side queries served through
+        ``SO_REUSEPORT`` listeners, which the parent's dispatch accounting
+        cannot see.
 
-        Acquires replicas one at a time (windows keep flowing on the rest);
-        includes replica-side queries served through ``SO_REUSEPORT``
-        listeners, which the parent's dispatch accounting cannot see.
+        Holds at most one replica at a time and none while waiting (a
+        concurrent swap drains the same free queue), handing back at once
+        the token of a replica already asked.  Raises
+        :class:`~repro.errors.ServiceError` when a live replica stays busy
+        for ``request_timeout``.
         """
-        if self._closed or not self._replicas:
+        if self._closed:
             return []
-        reports = []
-        for _ in range(len(self._replicas)):
-            replica = self._free.get(timeout=self._request_timeout)
-            if not replica.process.is_alive():
-                continue  # stale token for a dead replica; drop it
+        reports: Dict[int, dict] = {}
+        deadline = time.monotonic() + self._request_timeout
+        while True:
+            wanted = [
+                replica
+                for replica in self._replicas
+                if replica.index not in reports and replica.process.is_alive()
+            ]
+            if not wanted:
+                return [reports[index] for index in sorted(reports)]
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ServiceError(
+                    f"timed out after {self._request_timeout:g}s waiting for "
+                    f"replicas {[replica.index for replica in wanted]} to report stats"
+                )
+            try:
+                replica = self._free.get(timeout=min(remaining, _DRAIN_POLL_SECONDS))
+            except queue.Empty:
+                continue  # re-check liveness: a dead replica never frees
+            if replica not in wanted:
+                if replica.process.is_alive():  # else a stale token; drop it
+                    self._free.put(replica)
+                    time.sleep(_STATS_RETRY_SECONDS)
+                continue
             try:
                 replica.conn.send(("stats",))
-                reply = _expect(
+                reports[replica.index] = _expect(
                     replica.conn,
                     "stats",
                     self._request_timeout,
                     f"stats from replica {replica.index}",
-                )
-                reports.append(reply[1])
+                )[1]
+            except (OSError, ServiceError):
+                if replica.process.is_alive():
+                    raise
+                # It died while answering: skip it like any dead replica.
             finally:
-                self._free.put(replica)
-        reports.sort(key=lambda report: report["replica"])
-        return reports
+                if replica.process.is_alive():
+                    self._free.put(replica)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -30,7 +30,7 @@ from repro.errors import ServiceError
 from repro.hashing import vectorized as vec
 from repro.hashing.base import Key
 from repro.metrics.memory import process_rss_bytes
-from repro.metrics.timing import Stopwatch, latency_percentiles
+from repro.metrics.timing import Stopwatch
 from repro.obs import (
     CollectedFamily,
     FprEstimator,
@@ -44,7 +44,7 @@ from repro.service.adaptive import AdaptivePolicy, MigrationPlan
 from repro.service.backends import BackendSpec
 from repro.service.diskstore import DiskShardStore
 from repro.service.shards import ShardedFilterStore
-from repro.service.stats import AdaptiveStats, LatencyWindow, ServiceStats
+from repro.service.stats import AdaptiveStats, ServiceStats
 
 #: Distinguishes service instances inside shared metric families: every
 #: instance labels its children ``service="svc-<n>"`` so two services in one
@@ -111,8 +111,6 @@ class MembershipService:
         router_seed: Seed for the shard router (stable across generations, so
             placement — and therefore shard-level stats — stays comparable,
             and incremental rebuilds can diff shard fingerprints at all).
-        latency_window: Number of recent per-key latency samples kept for the
-            percentile report.
         build_workers: Default worker count for every build and rebuild
             (``None``/1 = sequential; see
             :meth:`~repro.service.shards.ShardedFilterStore.build`).  A
@@ -124,8 +122,9 @@ class MembershipService:
             receives a weak scrape-time collector exporting per-shard
             counters and live FPR estimates.  Pass
             :func:`~repro.obs.null_registry` to disable instrumentation
-            wholesale; note ``stats()`` counter fields then read zero (the
-            latency windows still work).
+            wholesale; ``stats()`` counter fields then read zero and its
+            percentile fields ``None``, since they read the same
+            instruments.
         fpr_estimator: An optional :class:`~repro.obs.FprEstimator`; when
             attached, each rebuild re-registers the generation's build keys
             as its ground-truth oracle (unless a custom oracle was set), and
@@ -163,7 +162,6 @@ class MembershipService:
         num_shards: int = 4,
         max_batch_size: int = 65536,
         router_seed: int = 0,
-        latency_window: int = 4096,
         build_workers: Optional[int] = None,
         registry: Optional[Registry] = None,
         fpr_estimator: Optional[FprEstimator] = None,
@@ -186,8 +184,6 @@ class MembershipService:
         self._build_workers = build_workers
         self._snapshot: Optional[Snapshot] = None
         self._swap_lock = threading.Lock()
-        self._latency = LatencyWindow(latency_window)
-        self._rebuild_latency = LatencyWindow(128)
         self._registry = registry if registry is not None else default_registry()
         self._obs_label = f"svc-{next(_SERVICE_IDS)}"
         self._fpr = fpr_estimator
@@ -439,7 +435,6 @@ class MembershipService:
             self._swap(generation, store, len(keys), self._build_signature())
             self._shards_rebuilt.inc(len(rebuilt))
             self._shards_skipped.inc(len(skipped))
-            self._rebuild_latency.record(watch.seconds)
             self._rebuild_seconds.observe(watch.seconds)
             if plan is not None:
                 self._last_plan = plan
@@ -616,7 +611,6 @@ apply_to_service`: validates the delta against the serving snapshot,
             estimator = self._fpr
             if estimator is not None and estimator.active:
                 estimator.observe(key, True, snapshot.store.shard_of(key))
-        self._latency.record(elapsed)
         self._query_seconds.observe(elapsed)
         return answer
 
@@ -661,9 +655,7 @@ apply_to_service`: validates the delta against the serving snapshot,
         self._batches.inc()
         if positives:
             self._positives.inc(positives)
-        per_key = elapsed / len(keys)
-        self._latency.record(per_key)
-        self._query_seconds.observe(per_key)
+        self._query_seconds.observe(elapsed / len(keys))
         estimator = self._fpr
         if positives and estimator is not None and estimator.active:
             if isinstance(keys, vec.KeyBatch):
@@ -732,17 +724,15 @@ apply_to_service`: validates the delta against the serving snapshot,
         """A point-in-time snapshot read from the registry instruments.
 
         The dataclass shape predates the telemetry layer and is kept
-        exactly; the numbers now come from this instance's label children
-        in the shared metric families (so ``stats()`` and ``GET /metrics``
-        can never disagree).  Scalar queries contribute true per-key
+        exactly; the numbers, percentiles included, come from this
+        instance's label children in the shared metric families (so
+        ``stats()`` and ``GET /metrics`` can never disagree).  Scalar queries contribute true per-key
         samples; each accepted batch contributes its per-key *average* as
         one sample, so tail figures reflect scalar calls and batch-level
         behaviour, not per-key tails inside a batch (measuring those would
         require timing every key and defeat batching).
         """
         snapshot = self._snapshot
-        samples = self._latency.samples()
-        rebuild_samples = self._rebuild_latency.samples()
         adaptive: Optional[AdaptiveStats] = None
         if self._adaptive is not None:
             plan = self._last_plan
@@ -765,10 +755,8 @@ apply_to_service`: validates the delta against the serving snapshot,
             shards_rebuilt=int(self._shards_rebuilt.value),
             shards_skipped=int(self._shards_skipped.value),
             shards=snapshot.store.shard_stats() if snapshot else [],
-            latency=latency_percentiles(samples) if samples else None,
-            rebuild_latency=(
-                latency_percentiles(rebuild_samples) if rebuild_samples else None
-            ),
+            latency=self._query_seconds.percentiles(),
+            rebuild_latency=self._rebuild_seconds.percentiles(),
             adaptive=adaptive,
             uptime_seconds=time.monotonic() - self._started,
             rss_bytes=process_rss_bytes(),
@@ -939,7 +927,6 @@ apply_to_service`: validates the delta against the serving snapshot,
         path,
         backend: BackendSpec = "habf",
         max_batch_size: int = 65536,
-        latency_window: int = 4096,
         registry: Optional[Registry] = None,
         fpr_estimator: Optional[FprEstimator] = None,
         adaptive_policy: Optional[AdaptivePolicy] = None,
@@ -961,7 +948,6 @@ apply_to_service`: validates the delta against the serving snapshot,
             num_shards=store.num_shards,
             max_batch_size=max_batch_size,
             router_seed=store.router_seed,
-            latency_window=latency_window,
             registry=registry,
             fpr_estimator=fpr_estimator,
             adaptive_policy=adaptive_policy,

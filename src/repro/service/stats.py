@@ -1,24 +1,23 @@
 """Statistics views for the membership-serving subsystem.
 
-The dataclasses here are *views*: since the telemetry layer landed, the
-monotone counters live in :mod:`repro.obs` registry instruments (one family
-per counter, children labelled per service / batcher instance) and
-``stats()`` materialises these snapshots by reading instrument values, so
-the long-standing ``stats()`` / ``STATS`` / ``GET /stats`` shapes survive
-unchanged while ``GET /metrics`` exposes the same numbers in Prometheus
-form.  Latency percentiles still come from a bounded
-:class:`LatencyWindow` of recent samples (exact p50/p95/p99 over a ring
-buffer — bucketed histograms cannot provide that), with the same samples
-mirrored into registry histograms for exposition.
+The dataclasses here are *views* over :mod:`repro.obs` registry
+instruments (one family per quantity, children labelled per service /
+batcher / pool instance): ``stats()`` materialises these snapshots by
+reading instrument values, so the ``stats()`` / ``STATS`` / ``GET /stats``
+shapes and ``GET /metrics`` report the same numbers.  Counter fields read
+counter children.  Each percentile field is a histogram child's exact
+p50/p95/p99 over its last :data:`~repro.obs.RECENT_SAMPLES` observations
+(``None`` before the first, and always under a
+:class:`~repro.obs.NullRegistry`); the exposition reads that child's
+buckets, sum and count.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.metrics.timing import LatencyPercentiles, latency_percentiles
+from repro.metrics.timing import LatencyPercentiles
 
 
 @dataclass
@@ -68,12 +67,12 @@ class MicroBatchStats:
         current_wait_ms: The adaptive window deadline at snapshot time, in
             milliseconds (``max_batch`` divided by the EWMA arrival rate,
             clamped to ``[min_wait_ms, max_wait_ms]``).
-        batch_size: Percentiles over keys-per-dispatched-window, or ``None``
-            before the first dispatch.
-        wait: Percentiles over how long windows stayed open (seconds), or
-            ``None`` before the first dispatch.
-        queue_depth: Percentiles over pending keys observed at enqueue time,
-            or ``None`` before the first enqueue.
+        batch_size: Percentiles over keys-per-dispatched-window
+            (``repro_batch_size``).
+        wait: Percentiles over how long windows stayed open, in seconds
+            (``repro_batch_window_seconds``).
+        queue_depth: Percentiles over the pending keys when a flush window
+            closed, one sample per flush (``repro_batch_queue_depth``).
     """
 
     flushes: int
@@ -129,12 +128,11 @@ class ServiceStats:
         shards_skipped: Shards an incremental rebuild left untouched because
             their key-set fingerprints matched the previous snapshot.
         shards: Per-shard counters, in shard order.
-        latency: Percentile summary of recent latency samples (scalar calls
-            are true per-key latencies; each batch contributes its per-key
-            average as one sample), or ``None`` before the first query.
-        rebuild_latency: Percentile summary of recent build/rebuild
-            wall-clock durations (one sample per completed swap), or ``None``
-            before the first load.
+        latency: Percentiles over per-key query latency
+            (``repro_query_seconds``: scalar calls are true per-key
+            latencies; each batch contributes its per-key average once).
+        rebuild_latency: Percentiles over build/rebuild wall-clock
+            durations (``repro_rebuild_seconds``, one per completed swap).
         batching: Micro-batcher counters when the snapshot was taken through
             an async front-end's ``stats()``; ``None`` for a bare service.
         adaptive: Workload-adaptive selection counters when an
@@ -162,52 +160,3 @@ class ServiceStats:
     adaptive: Optional[AdaptiveStats] = None
     uptime_seconds: float = 0.0
     rss_bytes: Optional[int] = None
-
-
-class LatencyWindow:
-    """A fixed-size ring buffer of latency samples (seconds).
-
-    Keeps the most recent ``capacity`` samples so percentiles reflect current
-    behaviour rather than the whole process lifetime, with O(1) memory.
-
-    Recording and snapshotting share one internal lock: ``samples()`` and
-    ``percentiles()`` copy the window under the same lock ``record()``
-    mutates it with, so a reader racing a writer sees a consistent window
-    rather than a torn one (a ``list(...)`` copy concurrent with the ring
-    buffer's in-place eviction could otherwise observe a half-overwritten
-    window or resize mid-copy).
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("latency window capacity must be positive")
-        self._capacity = capacity
-        self._samples: List[float] = []
-        self._cursor = 0
-        self._lock = threading.Lock()
-
-    def record(self, seconds: float) -> None:
-        """Add one sample, evicting the oldest once the window is full."""
-        with self._lock:
-            if len(self._samples) < self._capacity:
-                self._samples.append(seconds)
-            else:
-                self._samples[self._cursor] = seconds
-                self._cursor = (self._cursor + 1) % self._capacity
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
-
-    def samples(self) -> List[float]:
-        """A copy of the current window (so callers can summarise unlocked)."""
-        with self._lock:
-            return list(self._samples)
-
-    def percentiles(self) -> Optional[LatencyPercentiles]:
-        """Summarise the window, or ``None`` when no samples were recorded."""
-        with self._lock:
-            if not self._samples:
-                return None
-            window = list(self._samples)
-        return latency_percentiles(window)

@@ -144,13 +144,23 @@ class TestExamplesRun:
 
     @pytest.mark.parametrize(
         "script",
-        ["quickstart.py", "blacklist_gateway.py", "lsm_read_path.py", "cost_aware_tuning.py"],
+        [
+            "quickstart.py",
+            "blacklist_gateway.py",
+            "lsm_read_path.py",
+            "cost_aware_tuning.py",
+            "membership_service.py",
+            "async_gateway.py --workers 1",
+            "async_gateway.py --workers 2",
+            "replication_cluster.py",
+        ],
     )
     def test_example_executes(self, script):
-        path = EXAMPLES_DIR / script
-        assert path.exists(), f"missing example {script}"
+        name, *arguments = script.split()
+        path = EXAMPLES_DIR / name
+        assert path.exists(), f"missing example {name}"
         completed = subprocess.run(
-            [sys.executable, str(path)],
+            [sys.executable, str(path), *arguments],
             capture_output=True,
             text=True,
             timeout=600,

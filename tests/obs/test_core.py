@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs import (
     DEFAULT_SIZE_BUCKETS,
+    RECENT_SAMPLES,
     NullRegistry,
     Registry,
     null_registry,
@@ -114,6 +115,56 @@ class TestHistogram:
             registry.histogram("t2", "help", buckets=())
 
 
+class TestRecentWindowRace:
+    """Exact percentiles come from a window copied under the observe lock."""
+
+    def test_concurrent_observe_and_percentiles_stay_consistent(self):
+        child = Registry().histogram("t", "help", ("x",)).labels("a")
+        stop = threading.Event()
+        failures = []
+
+        def writer():
+            i = 0
+            while not stop.is_set():
+                child.observe(float(100 + i % 900))
+                i += 1
+
+        def reader():
+            while not stop.is_set():
+                summary = child.percentiles()
+                if summary is None:
+                    continue
+                if summary.count > RECENT_SAMPLES:
+                    failures.append(f"window overran its size: {summary.count}")
+                values = (summary.p50, summary.p95, summary.p99, summary.mean)
+                if not all(100.0 <= value <= 999.0 for value in values):
+                    failures.append(f"a value no writer wrote: {summary}")
+
+        threads = [threading.Thread(target=writer) for _ in range(2)] + [
+            threading.Thread(target=reader) for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        stop.wait(timeout=0.5)
+        stop.set()
+        for thread in threads:
+            thread.join()
+        assert not failures, failures[:3]
+        assert child.percentiles().count == min(child.count, RECENT_SAMPLES)
+
+    def test_window_keeps_the_last_samples_and_count_keeps_all(self):
+        histogram = Registry().histogram("t", "help")
+        assert histogram.percentiles() is None
+        total = RECENT_SAMPLES + 3
+        for i in range(total):
+            histogram.observe(float(i))
+        summary = histogram.percentiles()
+        assert summary.count == RECENT_SAMPLES
+        assert histogram.count == total
+        # The three oldest observations (0, 1, 2) left the window.
+        assert summary.mean == pytest.approx((3 + total - 1) / 2)
+
+
 class TestRegistry:
     def test_get_or_create_returns_same_family(self):
         registry = Registry()
@@ -179,6 +230,7 @@ class TestNullRegistry:
         histogram = registry.histogram("c", "help")
         histogram.observe(1.0)
         assert histogram.count == 0
+        assert histogram.percentiles() is None
         assert registry.collect() == []
 
     def test_shared_instance(self):

@@ -171,6 +171,70 @@ class TestReplicaPool:
             pool.query_batch(["x"])
 
 
+class TestStatsByReplica:
+    """One report per live replica, without holding one replica while
+    waiting for another, and a typed error when none frees in time."""
+
+    def test_every_replica_reports_once_under_traffic(self, pool):
+        pool.load(KEYS)
+        stop = threading.Event()
+        errors = []
+
+        def traffic():
+            while not stop.is_set():
+                try:
+                    pool.query_batch(KEYS[:64])
+                except Exception as exc:  # pragma: no cover - reported below
+                    errors.append(exc)
+                    return
+
+        worker = threading.Thread(target=traffic)
+        worker.start()
+        try:
+            seen = [
+                [report["replica"] for report in pool.stats_by_replica()]
+                for _ in range(100)
+            ]
+        finally:
+            stop.set()
+            worker.join()
+        assert not errors, errors[:1]
+        assert all(indices == [0, 1] for indices in seen), seen
+
+    def test_sigkilled_replica_is_skipped_promptly(self):
+        with ReplicaPool(
+            replicas=2, backend="bloom-dh", num_shards=2, bits_per_key=10.0,
+            request_timeout=10.0,
+        ) as pool:
+            pool.load(KEYS)
+            os.kill(pool.replica_pids[0], signal.SIGKILL)
+            time.sleep(0.2)
+            for _ in range(4):  # the window that draws the dead replica fails
+                try:
+                    pool.query_batch(KEYS[:10])
+                except ServiceError:
+                    pass
+            start = time.monotonic()
+            reports = pool.stats_by_replica()
+            elapsed = time.monotonic() - start
+        assert [report["replica"] for report in reports] == [1]
+        assert elapsed < 2.0
+
+    def test_no_free_replica_raises_service_error(self):
+        with ReplicaPool(
+            replicas=2, backend="bloom-dh", num_shards=2, bits_per_key=10.0,
+            request_timeout=0.3,
+        ) as pool:
+            pool.load(KEYS)
+            taken = [pool._free.get_nowait() for _ in range(2)]
+            try:
+                with pytest.raises(ServiceError, match="report stats"):
+                    pool.stats_by_replica()
+            finally:
+                for replica in taken:
+                    pool._free.put(replica)
+
+
 # --------------------------------------------------------------------- #
 # Lifecycle: crashes must not leak kernel objects
 # --------------------------------------------------------------------- #

@@ -1,10 +1,10 @@
-"""Telemetry integration: stats-as-views parity, /metrics endpoints, races.
+"""Telemetry integration: stats-as-views parity and the /metrics endpoints.
 
-Covers the glue the obs unit tests cannot: the service and batcher counters
-are live views over registry instruments (``stats()`` and the exposition can
-never disagree), ``GET /metrics`` and the ``METRICS`` line command serve a
-valid exposition covering query/rebuild/batcher/shard families, and the
-:class:`LatencyWindow` snapshot race stays fixed.
+Covers the glue the obs unit tests cannot: the service, batcher and pool
+counters and distributions are live views over registry instruments
+(``stats()`` and the exposition can never disagree), and ``GET /metrics``
+and the ``METRICS`` line command serve a valid exposition covering
+query/rebuild/batcher/shard families.
 """
 
 from __future__ import annotations
@@ -12,15 +12,15 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-import threading
 
 import pytest
 
 from repro.obs import FprEstimator, Registry, parse_families, render_text
 from repro.service import (
+    AdaptiveMicroBatcher,
     AsyncMembershipServer,
-    LatencyWindow,
     MembershipService,
+    ReplicaPool,
 )
 
 KEYS = [f"key-{i}" for i in range(400)]
@@ -225,49 +225,76 @@ class TestNetworkExposition:
         assert stats.flushes >= 1
 
 
-class TestLatencyWindowRace:
-    """Regression: snapshots must be taken under the recording lock."""
+def _exported(registry, family, label):
+    """``(count, sum)`` of the one child of histogram ``family`` whose label
+    value starts with ``label``, as ``GET /metrics`` renders it."""
+    series = parse_families(render_text(registry))[family][1]
 
-    def test_concurrent_record_and_percentiles_stay_consistent(self):
-        window = LatencyWindow(capacity=64)
-        valid = {float(i) for i in range(1000)}
-        stop = threading.Event()
-        failures = []
-
-        def writer():
-            i = 0
-            while not stop.is_set():
-                window.record(float(i % 1000))
-                i += 1
-
-        def reader():
-            while not stop.is_set():
-                snapshot = window.samples()
-                if len(snapshot) > 64:
-                    failures.append(f"window overran capacity: {len(snapshot)}")
-                if not set(snapshot) <= valid:
-                    failures.append("torn window: unknown sample value")
-                summary = window.percentiles()
-                if summary is not None and not (
-                    0.0 <= summary.p50 <= 999.0 and 0.0 <= summary.p99 <= 999.0
-                ):
-                    failures.append(f"percentiles out of range: {summary}")
-
-        threads = [threading.Thread(target=writer) for _ in range(2)] + [
-            threading.Thread(target=reader) for _ in range(2)
+    def value(suffix):
+        values = [
+            number
+            for name, number in series.items()
+            if name.startswith(f"{family}_{suffix}{{") and f'="{label}' in name
         ]
-        for thread in threads:
-            thread.start()
-        stop.wait(timeout=0.5)
-        stop.set()
-        for thread in threads:
-            thread.join()
-        assert not failures, failures[:3]
+        assert len(values) == 1, (family, suffix, sorted(series))
+        return values[0]
 
-    def test_len_and_samples_agree_when_quiet(self):
-        window = LatencyWindow(capacity=4)
-        for i in range(7):
-            window.record(float(i))
-        assert len(window) == 4
-        assert len(window.samples()) == 4
-        assert window.percentiles() is not None
+    return value("count"), value("sum")
+
+
+def _assert_agrees(field, exported):
+    count, total = exported
+    assert field is not None
+    assert field.count == count
+    assert field.mean * field.count == pytest.approx(total, rel=1e-9, abs=1e-12)
+
+
+class TestStatsMatchMetrics:
+    """Every distribution ``stats()`` reports is the exported histogram's.
+
+    Each stays under ``RECENT_SAMPLES`` observations, so the exact window
+    and the exported count and sum cover the same observations.
+    """
+
+    def test_service_and_batcher_distributions(self, service, registry):
+        for key in KEYS[:20] + ["missing-1", "missing-2"]:
+            service.query(key)
+        for start in range(0, 300, 100):
+            service.query_batch(KEYS[start : start + 100])
+        service.rebuild(KEYS + ["extra-1"])
+        service.rebuild(KEYS + ["extra-1", "extra-2"])
+
+        async def burst():
+            async with AdaptiveMicroBatcher(
+                service, max_batch=64, max_wait_ms=5.0
+            ) as front:
+                answers = await asyncio.gather(*[front.query(key) for key in KEYS[:32]])
+                assert all(answers)
+                return front.stats()
+
+        stats = asyncio.run(burst())
+        batching = stats.batching
+        for field, family, label in (
+            (stats.latency, "repro_query_seconds", "svc-"),
+            (stats.rebuild_latency, "repro_rebuild_seconds", "svc-"),
+            (batching.batch_size, "repro_batch_size", "mb-"),
+            (batching.wait, "repro_batch_window_seconds", "mb-"),
+            (batching.queue_depth, "repro_batch_queue_depth", "mb-"),
+        ):
+            _assert_agrees(field, _exported(registry, family, label))
+
+    def test_pool_latency_is_its_exported_child(self, registry):
+        with ReplicaPool(
+            replicas=2,
+            backend="bloom-dh",
+            num_shards=2,
+            bits_per_key=10.0,
+            registry=registry,
+        ) as pool:
+            pool.load(KEYS)
+            for start in range(0, 400, 50):
+                pool.query_batch(KEYS[start : start + 50])
+            pool.query(KEYS[0])
+            latency = pool.stats().latency
+            assert latency.count == 9
+        _assert_agrees(latency, _exported(registry, "repro_query_seconds", "pool-"))
