@@ -726,11 +726,12 @@ apply_to_service`: validates the delta against the serving snapshot,
         The dataclass shape predates the telemetry layer and is kept
         exactly; the numbers, percentiles included, come from this
         instance's label children in the shared metric families (so
-        ``stats()`` and ``GET /metrics`` can never disagree).  Scalar queries contribute true per-key
-        samples; each accepted batch contributes its per-key *average* as
-        one sample, so tail figures reflect scalar calls and batch-level
-        behaviour, not per-key tails inside a batch (measuring those would
-        require timing every key and defeat batching).
+        ``stats()`` and ``GET /metrics`` can never disagree).  Scalar
+        queries contribute true per-key samples; each accepted batch
+        contributes its per-key *average* as one sample, so tail figures
+        reflect scalar calls and batch-level behaviour, not per-key tails
+        inside a batch (measuring those would require timing every key and
+        defeat batching).
         """
         snapshot = self._snapshot
         adaptive: Optional[AdaptiveStats] = None
