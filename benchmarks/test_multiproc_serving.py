@@ -122,7 +122,7 @@ def multiproc_report(dataset):
         pool_answers, pool_seconds = _closed_loop_qps(pool, probe)
         assert pool_answers == expected, "replica-pool verdicts diverged"
 
-        filter_bytes = pool._builder.snapshot.store.size_in_bytes()
+        filter_bytes = pool.snapshot.store.size_in_bytes()
         arena = pool.arena
         report.update(
             {

@@ -23,7 +23,12 @@ every run:
 * ``UNRESOLVED`` when either side's interquartile range is wider than the
   metric's ``bound`` (again as a fraction of that side's median): the runs
   spread too widely to tell the sides apart at that bound, unless every run
-  of the change reads better than every run of the parent.
+  of the change reads better than every run of the parent;
+* the median and quartiles of the per-pair ratio change/parent, over the
+  pairs where both runs succeeded.  A metric whose value depends on the
+  seed spreads both sides across seeds, while two runs on one seed can
+  still agree closely; the ratio shows that.  It is information only and
+  enters neither rule above.
 
 It reads ``BENCHMARK.json`` and ``wirebench/`` of each checkout and edits
 neither.  ``--json FILE`` also writes every run's metrics and the summary.
@@ -88,6 +93,7 @@ def summarise(metric: dict, pairs: List[tuple]) -> Optional[dict]:
     parent = [p for p, _ in complete]
     change = [c for _, c in complete]
     won = sum((c < p) if lower else (c > p) for p, c in complete)
+    ratios = [c / p for p, c in complete if p]
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
     if p_med:
@@ -107,6 +113,7 @@ def summarise(metric: dict, pairs: List[tuple]) -> Optional[dict]:
         "worse_than_bound": worse_by > metric["bound"],
         "spread": spread,
         "unresolved": spread > metric["bound"] and not separated,
+        "ratio": dict(zip(("q1", "median", "q3"), quartiles(ratios))) if ratios else None,
     }
 
 
@@ -156,16 +163,18 @@ def main(argv=None) -> int:
     for workload, metrics in summary.items():
         print(f"\n{workload} ({seconds} s runs)")
         print(f"  {'metric':<15} {'parent q1/median/q3':>32} {'change q1/median/q3':>32} "
-              f"{'won':>6} {'gap>IQR':>7} {'worse by':>9}")
+              f"{'won':>6} {'gap>IQR':>7} {'worse by':>9} {'change/parent q1/median/q3':>26}")
         for name, result in metrics.items():
             p, c = result["parent"], result["change"]
             flag = ("  WORSE" if result["worse_than_bound"] else "") + (
                 "  UNRESOLVED" if result["unresolved"] else "")
+            r = result["ratio"]
+            ratio = f"{r['q1']:.3f}/{r['median']:.3f}/{r['q3']:.3f}" if r else "n/a"
             print(f"  {name:<15} {p['q1']:>10.4g} {p['median']:>10.4g} {p['q3']:>10.4g} "
                   f"{c['q1']:>10.4g} {c['median']:>10.4g} {c['q3']:>10.4g} "
                   f"{result['win_share']:>6.0%} "
                   f"{'yes' if result['median_gap_exceeds_parent_iqr'] else 'no':>7} "
-                  f"{result['worse_by']:>+9.1%}{flag}")
+                  f"{result['worse_by']:>+9.1%} {ratio:>26}{flag}")
     if args.json:
         with open(args.json, "w") as handle:
             json.dump({"seconds": seconds, "first_seed": args.seed, "runs": runs,

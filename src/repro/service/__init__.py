@@ -27,10 +27,11 @@ blacklist-gateway / LSM read-path setting the paper motivates:
   top of it (see ``docs/SERVING.md``).
 * :mod:`repro.service.multiproc` — the multi-process serving tier:
   :class:`SharedFrameArena` lays a whole store's codec frame out in one
-  ``multiprocessing.shared_memory`` segment and :class:`ReplicaPool` runs R
-  worker processes that decode it zero-copy and answer micro-batch windows
-  (pipe dispatch or ``SO_REUSEPORT`` direct accept), with
-  generation-consistent fleet-wide rebuilds.
+  ``multiprocessing.shared_memory`` segment, and :class:`ReplicaPool`, a
+  :class:`MembershipService` subclass, runs R worker processes that decode
+  it zero-copy and answer micro-batch windows (pipe dispatch or
+  ``SO_REUSEPORT`` direct accept); its swap rolls the whole fleet, so
+  rebuilds stay generation-consistent.
 * :mod:`repro.service.diskstore` — the disk tier: :class:`DiskShardStore`
   persists every shard's codec frame in a page-oriented file behind an
   atomically-renamed directory, serves cold shards zero-copy off an

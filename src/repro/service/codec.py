@@ -801,6 +801,26 @@ def _open_header(
     return version, kind, length
 
 
+def _frame_length(data) -> int:
+    """Bytes of the codec frame that opens ``data``, read from its header.
+
+    For a buffer that holds one frame and then padding, such as a
+    shared-memory segment; :func:`loads` checks the frame itself.
+    """
+    if len(data) < _HEADER.size + 4:
+        raise CodecError(
+            f"frame too short: {len(data)} bytes < minimum {_HEADER.size + 4}"
+        )
+    _version, _kind, length = _open_header(data, FRAME_MAGIC, READABLE_VERSIONS, "frame")
+    total = _HEADER.size + length + 4
+    if total > len(data):
+        raise CodecError(
+            f"frame header declares {length} payload bytes but the buffer "
+            f"holds only {len(data) - _HEADER.size - 4}"
+        )
+    return total
+
+
 def _check_crc(header, payload, stored_crc: int, what: str) -> None:
     actual_crc = zlib.crc32(payload, zlib.crc32(header[4:]))
     if stored_crc != actual_crc:

@@ -7,21 +7,22 @@ filter bytes, mapped once from a ``multiprocessing.shared_memory`` segment.
 
 The pieces:
 
-- :class:`SharedFrameArena` — the builder serializes a whole
+- :class:`SharedFrameArena` — the pool serializes a whole
   :class:`~repro.service.shards.ShardedFilterStore` into one codec frame laid
-  out in a named shared-memory segment (a small header carries the
-  generation).  Replicas attach the segment and decode it with the codec's
+  out in a named shared-memory segment (the segment holds the frame and
+  nothing else; each replica learns the generation from its load command).
+  Replicas attach the segment and decode it with the codec's
   ``zero_copy=True`` path, so every decoded ``BitArray`` is a
   :meth:`~repro.core.bitarray.BitArray.view` over the mapping — R replicas
   pay for exactly one copy of the filter bytes.
 
-- :class:`ReplicaPool` — spawns R replica processes, duck-types the service
-  surface the asyncio front-end needs (``query_batch`` / ``generation`` /
-  ``stats`` / ``max_batch_size`` / ``registry``), and dispatches each
-  micro-batch window to a free replica over a pipe.  Plugged into
-  :class:`~repro.service.aserve.AdaptiveMicroBatcher` (which reads the pool's
-  ``dispatch_parallelism`` and keeps R windows in flight), the pool turns R
-  cores into R concurrent engine dispatches behind one listener.
+- :class:`ReplicaPool` — a :class:`~repro.service.server.MembershipService`
+  that spawns R replica processes, rolls them onto every generation it swaps
+  in, and dispatches each micro-batch window to a free replica over a pipe.
+  Plugged into :class:`~repro.service.aserve.AdaptiveMicroBatcher` (which
+  reads the pool's ``dispatch_parallelism`` and keeps R windows in flight),
+  the pool turns R cores into R concurrent engine dispatches behind one
+  listener.
 
 - ``SO_REUSEPORT`` mode — :meth:`ReplicaPool.start_reuseport` has every
   replica run its own :class:`~repro.service.aserve.AsyncMembershipServer`
@@ -29,9 +30,10 @@ The pieces:
   connections, removing the front-end process from the data path entirely.
 
 Rebuilds stay generation-consistent across the fleet: the parent builds the
-new store, publishes a fresh arena, then acquires every replica (draining
-in-flight windows), installs the new generation on each, and releases them —
-so windows answered before the swap all carry generation G, windows after all
+new store and swaps it in like any service, then, still under the swap
+lock, publishes a fresh arena, acquires every replica (draining in-flight
+windows), installs the new generation on each, and releases them — so
+windows answered before the swap all carry generation G, windows after all
 carry G+1, and no window ever mixes generations.  The old segment is unlinked
 once every replica has detached.
 
@@ -53,28 +55,24 @@ import itertools
 import os
 import queue
 import socket
-import struct
 import threading
 import time
 import weakref
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from multiprocessing.reduction import ForkingPickler
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CodecError, ServiceError
 from repro.hashing import vectorized as vec
 from repro.hashing.base import Key
-from repro.obs import CollectedFamily, FprEstimator, Registry, Sample, default_registry
+from repro.obs import Registry
 from repro.service import codec
-from repro.service.adaptive import AdaptivePolicy
-from repro.service.backends import BackendSpec
 from repro.service.server import BatchAnswer, MembershipService
 from repro.service.shards import ShardedFilterStore
-from repro.service.stats import ServiceStats
 
 __all__ = ["SharedFrameArena", "ReplicaPool", "shared_mapping_memory"]
 
 _ARENA_IDS = itertools.count(1)
-_POOL_IDS = itertools.count(1)
 
 #: How often a generation swap's drain checks for replicas that died.
 _DRAIN_POLL_SECONDS = 0.05
@@ -120,23 +118,20 @@ def _release_segment(shm: shared_memory.SharedMemory, owner: bool) -> None:
 class SharedFrameArena:
     """One serving generation's codec frame in a named shared-memory segment.
 
-    Layout: a 24-byte header (``magic "ARNA" | version | generation u64 |
-    frame length u64``) followed by the store's codec frame.  The *owner*
-    (builder) creates the segment with :meth:`publish` and is the only
-    process that unlinks it; replicas :meth:`attach` by name and decode the
-    frame zero-copy with :meth:`load_store`.
+    The segment holds the store's codec frame and nothing else: the frame's
+    own header carries its magic, version and length, and a replica learns
+    the generation from the command that names the segment.  The *owner*
+    creates the segment with :meth:`publish` and is the only process that
+    unlinks it; replicas :meth:`attach` by name and decode the frame
+    zero-copy with :meth:`load_store`.
     """
-
-    MAGIC = b"ARNA"
-    VERSION = 1
-    _HEADER = struct.Struct(">4sBxxxQQ")
 
     def __init__(
         self,
         shm: shared_memory.SharedMemory,
-        generation: int,
         frame_bytes: int,
         owner: bool,
+        generation: Optional[int] = None,
     ) -> None:
         self._shm = shm
         self._generation = generation
@@ -160,19 +155,15 @@ class SharedFrameArena:
         frame = codec.dumps(store)
         if name is None:
             name = f"repro-arena-{os.getpid()}-{next(_ARENA_IDS)}-g{generation}"
-        total = cls._HEADER.size + len(frame)
-        shm = shared_memory.SharedMemory(name=name, create=True, size=total)
+        shm = shared_memory.SharedMemory(name=name, create=True, size=len(frame))
         try:
-            shm.buf[: cls._HEADER.size] = cls._HEADER.pack(
-                cls.MAGIC, cls.VERSION, generation, len(frame)
-            )
-            shm.buf[cls._HEADER.size : total] = frame
+            shm.buf[: len(frame)] = frame
         except Exception:
             shm.close()
             with contextlib.suppress(FileNotFoundError):
                 shm.unlink()
             raise
-        return cls(shm, generation=generation, frame_bytes=len(frame), owner=True)
+        return cls(shm, len(frame), owner=True, generation=generation)
 
     @classmethod
     def attach(cls, name: str) -> "SharedFrameArena":
@@ -183,25 +174,11 @@ class SharedFrameArena:
             with contextlib.suppress(Exception):
                 resource_tracker.unregister(shm._name, "shared_memory")
         try:
-            if shm.size < cls._HEADER.size:
-                raise CodecError(
-                    f"segment {name!r} is {shm.size} bytes, smaller than the "
-                    f"{cls._HEADER.size}-byte arena header"
-                )
-            magic, version, generation, frame_bytes = cls._HEADER.unpack_from(shm.buf)
-            if magic != cls.MAGIC:
-                raise CodecError(f"bad arena magic {bytes(magic)!r} in segment {name!r}")
-            if version != cls.VERSION:
-                raise CodecError(f"unsupported arena version {version}")
-            if cls._HEADER.size + frame_bytes > shm.size:
-                raise CodecError(
-                    f"arena header declares {frame_bytes} frame bytes but the "
-                    f"segment holds only {shm.size - cls._HEADER.size}"
-                )
+            frame_bytes = codec._frame_length(shm.buf)
         except Exception:
             shm.close()
             raise
-        return cls(shm, generation=generation, frame_bytes=frame_bytes, owner=False)
+        return cls(shm, frame_bytes, owner=False)
 
     # ------------------------------------------------------------------ #
     # Access
@@ -212,8 +189,9 @@ class SharedFrameArena:
         return self._shm.name
 
     @property
-    def generation(self) -> int:
-        """The builder generation this arena carries."""
+    def generation(self) -> Optional[int]:
+        """The generation the owner published (``None`` on the attaching
+        side, which learns it from the command that names the segment)."""
         return self._generation
 
     @property
@@ -223,7 +201,7 @@ class SharedFrameArena:
 
     @property
     def size_bytes(self) -> int:
-        """Total segment size (header + frame, page-rounded by the kernel)."""
+        """Total segment size (the frame, page-rounded on some platforms)."""
         return self._shm.size
 
     @property
@@ -238,7 +216,7 @@ class SharedFrameArena:
         the segment's buffer: drop every reference to it *before* calling
         :meth:`dispose`, or the mapping stays open until process exit.
         """
-        view = self._shm.buf[self._HEADER.size : self._HEADER.size + self._frame_bytes]
+        view = self._shm.buf[: self._frame_bytes]
         store = codec.loads(view, zero_copy=True)
         if not isinstance(store, ShardedFilterStore):
             raise CodecError(
@@ -428,7 +406,7 @@ def _replica_main(conn, index: int, max_batch_size: int) -> None:
                 conn.send(("loaded", message[2]))
             elif kind == "load_disk":
                 # Disk-tier roll: every replica maps the same committed page
-                # file (cleanup=False — the builder owns orphan sweeping),
+                # file (cleanup=False — the pool owns orphan sweeping),
                 # so the kernel page cache is the fleet's shared copy.
                 new_disk = DiskShardStore.open(
                     message[1],
@@ -521,130 +499,89 @@ class _Replica:
 
 
 def _recv(conn, timeout: float, what: str):
-    if not conn.poll(timeout):
-        raise ServiceError(f"timed out after {timeout:.0f}s waiting for {what}")
     try:
+        if not conn.poll(timeout):
+            raise ServiceError(f"timed out after {timeout:g}s waiting for {what}")
         return conn.recv()
     except (EOFError, OSError) as exc:
         raise ServiceError(f"replica died while answering {what}") from exc
 
 
-def _expect(conn, kind: str, timeout: float, what: str):
-    reply = _recv(conn, timeout, what)
-    if reply[0] == "error":
-        raise ServiceError(f"replica error during {what}: {reply[1]}")
-    if reply[0] != kind:
-        raise ServiceError(f"replica protocol violation: expected {kind!r}, got {reply[0]!r}")
-    return reply
+class ReplicaPool(MembershipService):
+    """A :class:`MembershipService` whose queries R replica processes answer.
 
-
-class ReplicaPool:
-    """R replica processes serving one shared-memory filter store.
-
-    Duck-types the service surface of
-    :class:`~repro.service.server.MembershipService` that the asyncio
-    front-end consumes — plug a pool straight into
+    The pool differs from a service in two places.  Its swap, the last step
+    of :meth:`load`, :meth:`rebuild`, :meth:`install_snapshot`,
+    :meth:`apply_snapshot_delta` and :meth:`open_store`, also rolls every
+    replica onto the new generation; and :meth:`query_batch` sends each
+    window to a free replica over a pipe.  Builds (incremental and adaptive
+    rebuilds included), the disk tier, the registry, the FPR estimator and
+    :meth:`stats` run the service's own code in the parent, which answers
+    no query itself.  Plug a pool straight into
     :class:`~repro.service.aserve.AdaptiveMicroBatcher` or
     :class:`~repro.service.aserve.AsyncMembershipServer` and the batcher
     keeps ``replicas`` windows in flight (it reads
     :attr:`dispatch_parallelism`).
 
-    The parent holds the *builder* (a private :class:`MembershipService`
-    that never serves queries): :meth:`load` / :meth:`rebuild` build a store
-    in the parent (incremental rebuilds included), publish it as a
-    :class:`SharedFrameArena`, and roll every replica onto the new
-    generation atomically — in-flight windows drain first, so the window
-    stream observes generations in monotone order and no window mixes two.
+    The roll drains in-flight windows before any replica installs the new
+    generation, so the window stream observes generations in monotone
+    order and no window mixes two.  :attr:`snapshot`, which replication
+    diffs against, moves first; :attr:`generation` reports the generation
+    every replica acked.  Replicas answer from their own store copies, so
+    with an estimator or adaptive policy attached the parent feeds every
+    window back into the snapshot's per-shard counters and the estimator;
+    without one, ``stats().shards`` reports build-time facts and
+    :meth:`stats_by_replica` asks the replicas themselves.
 
     Args:
         replicas: Worker process count (the pool's dispatch parallelism).
-        backend: Filter backend, as for :class:`MembershipService`.
-        num_shards: Shards per generation.
-        max_batch_size: Largest window :meth:`query_batch` accepts.
-        router_seed: Shard-router seed (stable across generations).
-        build_workers: Default parallelism for builds/rebuilds.
-        registry: Metrics registry; per-replica dispatch counters live here
-            and a scrape-time collector re-exports the service families
-            (``repro_service_queries_total`` etc.) with a ``replica`` label,
-            so one ``GET /metrics`` on the front-end aggregates the fleet.
-        request_timeout: Seconds to wait for a replica's window answer.
-        load_timeout: Seconds to wait for a replica to install a generation.
+        request_timeout: Seconds to wait for a free replica, and for a
+            replica's answer to a window or a stats request.
+        load_timeout: Seconds to wait for a replica to install a generation
+            or start its ``SO_REUSEPORT`` listener.
         start_method: Override the multiprocessing start method (default:
             fork while single-threaded, else forkserver, else spawn).
-        fpr_estimator: An optional :class:`~repro.obs.FprEstimator`,
-            attached to the parent-side builder.  Replicas answer the
-            queries, so the parent feeds each dispatched window back into
-            the estimator (and the builder store's per-shard counters) —
-            the same live evidence the single-process service collects.
-        adaptive_policy: An optional
-            :class:`~repro.service.adaptive.AdaptivePolicy` on the builder;
-            adaptive migrations then ride :meth:`rebuild`'s drain-then-roll
-            swap, keeping the fleet's generation stream atomic.
-        store_path: When set, generations persist through the builder's
-            :class:`~repro.service.diskstore.DiskShardStore` and replicas
-            serve by mapping the *same* page file instead of attaching a
-            shared-memory arena — the kernel page cache becomes the fleet's
-            one copy of the filter bytes, and it survives restarts.
-        cache_budget: Per-replica byte budget for decoded hot shards in
-            disk mode (``None`` = unbounded, ``0`` = always cold).
-        backend_kwargs: Forwarded to the backend factory.
+        options: Every :class:`MembershipService` argument, with the same
+            meaning.  The pool's metric children carry
+            ``service="pool-<n>"``, and the ``repro_replica_*`` families
+            add one child per replica.  With ``store_path`` the replicas
+            serve by mapping the same committed page file instead of a
+            shared-memory arena, so the kernel page cache is the fleet's
+            one copy of the filter bytes; ``cache_budget`` then bounds each
+            replica's decoded shards as well as the parent's.
     """
+
+    _LABEL_PREFIX = "pool"
 
     def __init__(
         self,
         replicas: int = 4,
-        backend: BackendSpec = "habf",
-        num_shards: int = 4,
-        max_batch_size: int = 65536,
-        router_seed: int = 0,
-        build_workers: Optional[int] = None,
-        registry: Optional[Registry] = None,
+        *,
         request_timeout: float = 30.0,
         load_timeout: float = 120.0,
         start_method: Optional[str] = None,
-        fpr_estimator: Optional[FprEstimator] = None,
-        adaptive_policy: Optional[AdaptivePolicy] = None,
-        store_path=None,
-        cache_budget: Optional[int] = None,
-        **backend_kwargs,
+        **options,
     ) -> None:
         if replicas < 1:
             raise ServiceError("a replica pool needs at least 1 replica")
         self._num_replicas = replicas
-        self._store_path = store_path
-        self._cache_budget = cache_budget
-        self._max_batch_size = max_batch_size
         self._request_timeout = request_timeout
         self._load_timeout = load_timeout
         self._start_method = start_method
-        self._registry = registry if registry is not None else default_registry()
-        self._builder = MembershipService(
-            backend=backend,
-            num_shards=num_shards,
-            max_batch_size=max_batch_size,
-            router_seed=router_seed,
-            build_workers=build_workers,
-            registry=self._registry,
-            fpr_estimator=fpr_estimator,
-            adaptive_policy=adaptive_policy,
-            store_path=store_path,
-            cache_budget=cache_budget,
-            **backend_kwargs,
-        )
         self._replicas: List[_Replica] = []
         self._free: "queue.Queue[_Replica]" = queue.Queue()
         self._arena: Optional[SharedFrameArena] = None
         #: Generation every surviving replica acked at the last completed
-        #: roll; the builder moves first, so its generation can run ahead.
+        #: roll; the snapshot moves first, so its generation can run ahead.
         self._fleet_generation = 0
         self._reuseport_socket: Optional[socket.socket] = None
         self._closed = False
-        self._swap_lock = threading.Lock()
-        self._obs_label = f"pool-{next(_POOL_IDS)}"
-        self._make_instruments()
-        self._registry.add_collector(self._collect_replica_families)
+        super().__init__(**options)
 
     def _make_instruments(self) -> None:
+        """The service's children plus one child per replica in each
+        ``repro_replica_*`` family."""
+        super()._make_instruments()
         registry, label = self._registry, self._obs_label
         count = self._num_replicas
         windows = registry.counter(
@@ -671,63 +608,6 @@ class ReplicaPool:
         self._replica_keys = [keys.labels(label, str(i)) for i in range(count)]
         self._replica_positives = [positives.labels(label, str(i)) for i in range(count)]
         self._replica_dispatch = [dispatch.labels(label, str(i)) for i in range(count)]
-        self._rejected = registry.counter(
-            "repro_service_rejected_batches_total",
-            "Batch calls refused (empty or oversized)",
-            ("service",),
-        ).labels(label)
-        self._query_seconds = registry.histogram(
-            "repro_query_seconds",
-            "Per-key query latency; each batch contributes its per-key average once",
-            ("service",),
-        ).labels(label)
-        # The builder's own child reports the generation it built; the
-        # pool's child reports the one its fleet serves (see ``generation``).
-        self._generation_gauge = registry.gauge(
-            "repro_service_generation",
-            "Generation currently serving (0 before the first load)",
-            ("service",),
-        ).labels(label)
-
-    def _collect_replica_families(self) -> List[CollectedFamily]:
-        """Scrape-time per-replica view on the *existing* service families.
-
-        The front-end's ``GET /metrics`` thereby aggregates the whole fleet:
-        ``repro_service_queries_total{service="pool-1",replica="2"}`` sits
-        next to the single-process ``service="svc-N"`` children, and the
-        per-replica split is the parent's own dispatch accounting (no IPC at
-        scrape time).
-        """
-        base = (("service", self._obs_label),)
-
-        def family(name: str, help_text: str, children) -> CollectedFamily:
-            return CollectedFamily(
-                name=name,
-                kind="counter",
-                help=help_text,
-                samples=tuple(
-                    Sample("", base + (("replica", str(i)),), float(child.value))
-                    for i, child in enumerate(children)
-                ),
-            )
-
-        return [
-            family(
-                "repro_service_queries_total",
-                "Keys tested, scalar and batch combined",
-                self._replica_keys,
-            ),
-            family(
-                "repro_service_batches_total",
-                "query_many/query_batch calls accepted",
-                self._replica_windows,
-            ),
-            family(
-                "repro_service_positives_total",
-                "Membership tests answered present",
-                self._replica_positives,
-            ),
-        ]
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -818,154 +698,116 @@ class ReplicaPool:
             if replica in self._replicas:  # else a stale token of a reaped one
                 held.append(replica)
 
-    # ------------------------------------------------------------------ #
-    # Loading and rebuilding
-    # ------------------------------------------------------------------ #
-    def load(
+    def _exchange(
         self,
-        keys: Sequence[Key],
-        negatives: Sequence[Key] = (),
-        costs: Optional[Mapping[Key, float]] = None,
-        workers: Optional[int] = None,
-    ) -> int:
-        """Build the first generation, publish it, and start the replicas."""
-        return self.rebuild(keys, negatives=negatives, costs=costs, workers=workers)
+        held: Sequence[_Replica],
+        command: tuple,
+        kind: str,
+        timeout: float,
+        what: str,
+    ) -> List[tuple]:
+        """Send ``command`` to every held replica and read the reply each
+        owes; returns their ``kind`` replies in order.
 
-    def rebuild(
-        self,
-        keys: Sequence[Key],
-        negatives: Sequence[Key] = (),
-        costs: Optional[Mapping[Key, float]] = None,
-        changed_keys: Optional[Sequence[Key]] = None,
-        incremental: bool = True,
-        workers: Optional[int] = None,
-    ) -> int:
-        """Build a new generation and roll every replica onto it.
-
-        The build runs in the parent (incremental when the previous
-        generation allows it, exactly like the single-process service); the
-        swap acquires all replicas — draining in-flight windows — before any
-        replica installs the new arena, so the answered-window stream sees
-        generations in monotone order and no window mixes two.  Replicas
-        that died since the last swap (e.g. SIGKILL) are reaped first, and
-        any that die while the swap drains are reaped then, so the roll
-        covers exactly the surviving fleet — an adaptive migration lands on
-        every replica still serving.  A fleet with no survivors respawns in
-        full; one that loses its last replica during the drain fails the
-        roll, and the next swap respawns it.  Returns the new generation.
+        A replica goes back on the free queue only once its reply has been
+        read, so no later command can take an earlier command's reply for
+        its own.  An ``("error", ...)`` reply is in protocol: that replica
+        goes back, and the error is raised once every reply is read.  A
+        replica whose reply times out (``timeout`` seconds each) or breaks
+        the protocol is killed instead, since it would answer the next
+        command with the old reply; one that died stays off the queue until
+        :meth:`_reap_dead` drops it.
         """
-        return self._advance(
-            self._builder.rebuild,
-            keys,
-            negatives=negatives,
-            costs=costs,
-            changed_keys=changed_keys,
-            incremental=incremental,
-            workers=workers,
-        )
+        try:
+            payload = ForkingPickler.dumps(command)
+        except Exception:
+            for replica in held:
+                self._free.put(replica)
+            raise
+        for replica in held:
+            with contextlib.suppress(OSError):  # a dead replica reads as EOF below
+                replica.conn.send_bytes(payload)
+        replies: List[tuple] = []
+        failures: List[ServiceError] = []
+        for replica in held:
+            label = f"{what} on replica {replica.index}"
+            try:
+                reply = _recv(replica.conn, timeout, label)
+                if reply[0] not in (kind, "error"):
+                    raise ServiceError(
+                        f"replica protocol violation during {label}: expected "
+                        f"{kind!r}, got {reply[0]!r}"
+                    )
+            except ServiceError as exc:
+                replica.process.kill()
+                replica.process.join(timeout)
+                failures.append(exc)
+                continue
+            self._free.put(replica)
+            if reply[0] == "error":
+                failures.append(ServiceError(f"replica error during {label}: {reply[1]}"))
+            else:
+                replies.append(reply)
+        if failures:
+            raise failures[0]
+        return replies
 
-    def _advance(self, move, *args, **kwargs) -> int:
-        """Reap dead replicas, move the builder with ``move(*args, **kwargs)``
-        and roll the fleet onto it, one swap at a time."""
+    # ------------------------------------------------------------------ #
+    # The roll
+    # ------------------------------------------------------------------ #
+    def _swap(
+        self,
+        generation: int,
+        store: ShardedFilterStore,
+        num_keys: int,
+        build_params: Optional[tuple] = None,
+    ) -> None:
+        """Serve the new snapshot, then roll every replica onto it.
+
+        Caller holds ``_swap_lock`` and, in disk mode, has committed the
+        generation.  The roll reaps dead replicas, publishes the store as a
+        new arena (in disk mode each replica reopens the committed page
+        file instead), drains in-flight windows, installs the generation on
+        every survivor, records it as :attr:`generation` and retires the
+        previous arena.  A fleet with no survivors respawns in full.  A
+        failed roll leaves :attr:`generation` at the last generation every
+        replica acked, behind :attr:`snapshot`; the next swap rolls again.
+        """
         if self._closed:
             raise ServiceError("the replica pool is closed")
-        with self._swap_lock:
-            self._reap_dead()
-            generation = move(*args, **kwargs)
-            self._roll_replicas(generation)
-            return generation
-
-    def _roll_replicas(self, generation: int) -> None:
-        """Roll the fleet onto the builder's current snapshot.
-
-        Caller holds ``_swap_lock`` and has already moved the builder (and,
-        in disk mode, committed the generation durably).  Drains in-flight
-        windows, installs the generation on every surviving replica, records
-        it as the fleet's :attr:`generation`, then retires the previous arena.
-        """
-        if self._store_path is not None:
-            # Disk tier: the builder already committed this generation
-            # durably; replicas roll by reopening the path (their own mmap
-            # of the same pages) instead of attaching a shared-memory arena.
-            load_command = (
-                "load_disk",
-                str(self._store_path),
-                generation,
-                self._cache_budget,
-            )
-            arena = None
-        else:
-            store = self._builder.snapshot.store
+        super()._swap(generation, store, num_keys, build_params)
+        self._reap_dead()
+        if self._store_path is None:
             arena = SharedFrameArena.publish(store, generation)
-            load_command = ("load", arena.name, generation)
+            command = ("load", arena.name, generation)
+        else:
+            arena = None
+            command = ("load_disk", str(self._store_path), generation, self._cache_budget)
         try:
             if not self._replicas:
                 self._spawn()
                 held = list(self._replicas)
             else:
                 held = self._acquire_all()
-            try:
-                for replica in held:
-                    replica.conn.send(load_command)
-                for replica in held:
-                    _expect(
-                        replica.conn,
-                        "loaded",
-                        self._load_timeout,
-                        f"generation {generation} install on replica {replica.index}",
-                    )
-                # Recorded while the fleet is still held, so no window
-                # answered after a GEN read can come from an older one.  A
-                # failed roll leaves it (and the gauge) at the last
-                # generation every replica acked.
-                self._fleet_generation = generation
-                self._generation_gauge.set(generation)
-            finally:
-                for replica in held:
-                    self._free.put(replica)
+            self._exchange(
+                held, command, "loaded", self._load_timeout,
+                f"generation {generation} install",
+            )
         except Exception:
             if arena is not None:
                 arena.dispose()
             raise
+        self._fleet_generation = generation
+        self._generation_gauge.set(generation)
         previous, self._arena = self._arena, arena
         if previous is not None:
             # Every replica detached the old mapping before acking, so
             # the owner can drop the name; pages die with the mappings.
             previous.dispose()
 
-    def install_snapshot(
-        self,
-        store: ShardedFilterStore,
-        num_keys: Optional[int] = None,
-        generation: Optional[int] = None,
-        rebuilt_shards: Optional[Sequence[int]] = None,
-    ) -> int:
-        """Install an externally built store on the builder and roll the fleet.
-
-        Same contract as :meth:`MembershipService.install_snapshot` — the
-        generation must move forward, and ``rebuilt_shards`` lets a disk-mode
-        pool commit incrementally — followed by the same drain-then-roll swap
-        :meth:`rebuild` uses, so no window ever mixes generations.  This is
-        what lets a whole pool act as a replication *follower*: a
-        :class:`~repro.service.replication.FollowerClient` pointed at a pool
-        rolls all R replicas per applied delta.
-        """
-        return self._advance(
-            self._builder.install_snapshot,
-            store,
-            num_keys=num_keys,
-            generation=generation,
-            rebuilt_shards=rebuilt_shards,
-        )
-
-    def apply_snapshot_delta(self, delta) -> int:
-        """Apply a replication delta fleet-wide; returns the new generation."""
-        from repro.service import replication
-
-        return replication.apply_to_service(self, delta)
-
     def close(self, timeout: float = 10.0) -> None:
-        """Stop every replica and release the arena. Idempotent."""
+        """Stop every replica and release the arena and the disk tier.
+        Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -991,9 +833,8 @@ class ReplicaPool:
         if self._arena is not None:
             self._arena.dispose()
             self._arena = None
-        disk = self._builder.disk_store
-        if disk is not None:
-            disk.close()
+        if self._disk is not None:
+            self._disk.close()
 
     # ------------------------------------------------------------------ #
     # Query dispatch (thread-safe; called from the batcher's executor)
@@ -1004,11 +845,13 @@ class ReplicaPool:
         Thread-safe: the free-queue hands each concurrent caller its own
         replica, so R batcher dispatch threads drive R replicas in parallel.
         The reported generation is whatever snapshot the replica served —
-        one generation per window, by construction.
+        one generation per window, by construction.  The window counts in
+        the pool's ``repro_service_*`` children and in its replica's
+        ``repro_replica_*`` children.
         """
         raw = list(keys.keys) if isinstance(keys, vec.KeyBatch) else list(keys)
         if not raw or len(raw) > self._max_batch_size:
-            self._rejected.inc()
+            self._rejected_batches.inc()
             raise ServiceError(
                 f"batch of {len(raw)} keys rejected; accepted sizes are "
                 f"1..{self._max_batch_size}"
@@ -1021,44 +864,33 @@ class ReplicaPool:
             replica = self._free.get(timeout=self._request_timeout)
         except queue.Empty:
             raise ServiceError(
-                f"no replica became free within {self._request_timeout:.0f}s"
+                f"no replica became free within {self._request_timeout:g}s"
             ) from None
-        healthy = False
         start = time.perf_counter()
-        try:
-            try:
-                replica.conn.send(("query", raw))
-            except (BrokenPipeError, OSError) as exc:
-                raise ServiceError(
-                    f"replica {replica.index} is gone (broken pipe)"
-                ) from exc
-            reply = _expect(
-                replica.conn,
-                "answer",
-                self._request_timeout,
-                f"window of {len(raw)} keys on replica {replica.index}",
-            )
-            healthy = True
-        finally:
-            if healthy or replica.process.is_alive():
-                self._free.put(replica)
+        (reply,) = self._exchange(
+            [replica], ("query", raw), "answer", self._request_timeout,
+            f"window of {len(raw)} keys",
+        )
         elapsed = time.perf_counter() - start
         _tag, generation, count, positives, payload, _engine_seconds = reply
         verdicts = _unpack_verdicts(payload, count)
         index = replica.index
         self._replica_windows[index].inc()
         self._replica_keys[index].inc(count)
+        self._batches.inc()
+        self._queries.inc(count)
         if positives:
             self._replica_positives[index].inc(positives)
+            self._positives.inc(positives)
         self._replica_dispatch[index].observe(elapsed)
         self._query_seconds.observe(elapsed / max(count, 1))
-        # Replicas answer from their own store copies, so the builder's
+        # Replicas answer from their own store copies, so the snapshot's
         # per-shard counters (the adaptive scorer's traffic evidence) and
         # the FPR estimator only see this window if the parent feeds it
         # back.  One router pass serves both.
-        estimator = self._builder.fpr_estimator
-        if estimator is not None or self._builder.adaptive_policy is not None:
-            snapshot = self._builder.snapshot
+        estimator = self._fpr
+        if estimator is not None or self._adaptive is not None:
+            snapshot = self._snapshot
             if snapshot is not None:
                 shards = snapshot.store.record_shard_traffic(raw, verdicts)
                 if positives and estimator is not None and estimator.active:
@@ -1068,10 +900,6 @@ class ReplicaPool:
         return BatchAnswer(
             verdicts=verdicts, generation=generation, elapsed_seconds=elapsed
         )
-
-    def query_many(self, keys: Sequence[Key]) -> List[bool]:
-        """Batch membership test, in input order (one replica per call)."""
-        return self.query_batch(keys).verdicts
 
     def query(self, key: Key) -> bool:
         """Single-key convenience (a one-key window; prefer batches)."""
@@ -1108,20 +936,13 @@ class ReplicaPool:
             raise
         actual_port = reserve.getsockname()[1]
         self._reuseport_socket = reserve
-        held = self._acquire_all()
-        try:
-            for replica in held:
-                replica.conn.send(("listen", host, actual_port, dict(server_opts)))
-            for replica in held:
-                _expect(
-                    replica.conn,
-                    "listening",
-                    self._load_timeout,
-                    f"reuseport listener on replica {replica.index}",
-                )
-        finally:
-            for replica in held:
-                self._free.put(replica)
+        self._exchange(
+            self._acquire_all(),
+            ("listen", host, actual_port, dict(server_opts)),
+            "listening",
+            self._load_timeout,
+            "reuseport listener",
+        )
         return host, actual_port
 
     # ------------------------------------------------------------------ #
@@ -1131,27 +952,11 @@ class ReplicaPool:
     def generation(self) -> int:
         """Generation every replica has acked (0 before the first load).
 
-        A rebuild moves the builder first and rolls the fleet after, so
-        this lags :attr:`snapshot` during a roll rather than reporting a
-        generation that windows may not be answered by yet.
+        The swap moves :attr:`snapshot` first and rolls the fleet after, so
+        this lags it during a roll, and after a failed one, rather than
+        reporting a generation that windows may not be answered by yet.
         """
         return self._fleet_generation
-
-    @property
-    def snapshot(self):
-        """The builder's serving snapshot (what the fleet was rolled onto),
-        or ``None`` before the first load.  Replication diffs against this."""
-        return self._builder.snapshot
-
-    @property
-    def max_batch_size(self) -> int:
-        """Largest window :meth:`query_batch` accepts."""
-        return self._max_batch_size
-
-    @property
-    def registry(self) -> Registry:
-        """The metrics registry the pool (and its builder) report to."""
-        return self._registry
 
     @property
     def dispatch_parallelism(self) -> int:
@@ -1170,11 +975,6 @@ class ReplicaPool:
         return self._arena
 
     @property
-    def disk_store(self):
-        """The builder's disk tier, or ``None`` (shared-memory mode)."""
-        return self._builder.disk_store
-
-    @property
     def replica_pids(self) -> List[int]:
         """PIDs of the live replica processes (for memory accounting)."""
         return [
@@ -1182,39 +982,6 @@ class ReplicaPool:
             for replica in self._replicas
             if replica.process.pid is not None
         ]
-
-    @property
-    def fpr_estimator(self) -> Optional[FprEstimator]:
-        """The builder's live-FPR estimator, or ``None``."""
-        return self._builder.fpr_estimator
-
-    @property
-    def adaptive_policy(self) -> Optional[AdaptivePolicy]:
-        """The builder's adaptive backend-selection policy, or ``None``."""
-        return self._builder.adaptive_policy
-
-    def stats(self) -> ServiceStats:
-        """Fleet-aggregated stats in the standard :class:`ServiceStats` shape.
-
-        Build/rebuild counters come from the parent's builder, the
-        generation from the fleet (:attr:`generation`); traffic
-        counters are the parent-side dispatch accounting summed over
-        replicas, and ``latency`` is the pool's own ``repro_query_seconds``
-        child (per-key round trip of each window).  Without an estimator or
-        adaptive policy the per-shard rows report build-time facts only
-        (replica-resident counters are
-        available via :meth:`stats_by_replica`); with one attached, the
-        parent's window feedback keeps the builder's shard counters — and
-        therefore the rows here — tracking replica traffic.
-        """
-        stats = self._builder.stats()
-        stats.generation = self._fleet_generation
-        stats.queries = sum(int(child.value) for child in self._replica_keys)
-        stats.batches = sum(int(child.value) for child in self._replica_windows)
-        stats.positives = sum(int(child.value) for child in self._replica_positives)
-        stats.rejected_batches = int(self._rejected.value)
-        stats.latency = self._query_seconds.percentiles()
-        return stats
 
     def stats_by_replica(self) -> List[dict]:
         """One report per live replica, in index order, over the control
@@ -1226,7 +993,9 @@ class ReplicaPool:
         concurrent swap drains the same free queue), handing back at once
         the token of a replica already asked.  Raises
         :class:`~repro.errors.ServiceError` when a live replica stays busy
-        for ``request_timeout``.
+        for ``request_timeout``.  A replica that dies while answering, or
+        is killed because its answer timed out, is skipped like any dead
+        replica.
         """
         if self._closed:
             return []
@@ -1256,20 +1025,14 @@ class ReplicaPool:
                     time.sleep(_STATS_RETRY_SECONDS)
                 continue
             try:
-                replica.conn.send(("stats",))
-                reports[replica.index] = _expect(
-                    replica.conn,
-                    "stats",
-                    self._request_timeout,
-                    f"stats from replica {replica.index}",
-                )[1]
-            except (OSError, ServiceError):
+                (reply,) = self._exchange(
+                    [replica], ("stats",), "stats", self._request_timeout, "stats"
+                )
+            except ServiceError:
                 if replica.process.is_alive():
                     raise
-                # It died while answering: skip it like any dead replica.
-            finally:
-                if replica.process.is_alive():
-                    self._free.put(replica)
+                continue
+            reports[replica.index] = reply[1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

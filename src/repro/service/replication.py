@@ -282,11 +282,12 @@ def apply_to_service(service, delta: Union[SnapshotDelta, bytes]) -> int:
     """Apply a delta (or its encoded bytes) to a service; returns the generation.
 
     ``service`` is anything exposing the ``snapshot`` /
-    ``install_snapshot`` surface — :class:`~repro.service.server.\
-MembershipService` and :class:`~repro.service.multiproc.ReplicaPool` both
-    do.  The swap rides the existing ``install_snapshot`` path, so it is
-    atomic for queries, rolls a pool's whole fleet, and — in disk mode —
-    commits incrementally (only the dirty shards' frames are appended).
+    ``install_snapshot`` surface — a :class:`~repro.service.server.\
+MembershipService`, including a :class:`~repro.service.multiproc.ReplicaPool`,
+    whose delta applies to the pool's snapshot.  The swap rides the
+    existing ``install_snapshot`` path, so it is atomic for queries, rolls a
+    pool's whole fleet, and — in disk mode — commits incrementally (only
+    the dirty shards' frames are appended).
 
     Raises:
         StaleBaseError: the delta needs a base this service does not serve.
@@ -791,10 +792,10 @@ class FollowerClient:
     makes the publisher fall back to a full snapshot.  Connection failures
     retry with exponential backoff; after a reconnect the follower
     re-announces whatever snapshot it actually holds, so a crash-recovered
-    process resyncs from its last committed state automatically.  For a
-    :class:`~repro.service.multiproc.ReplicaPool` that snapshot is the
-    builder's, which leads the fleet's serving generation during a roll;
-    :meth:`wait_for_generation` waits for the fleet.
+    process resyncs from its last committed state automatically.  A
+    :class:`~repro.service.multiproc.ReplicaPool`'s snapshot leads the
+    fleet's serving generation during a roll; :meth:`wait_for_generation`
+    waits for the fleet.
 
     Args:
         service: The follower — a
@@ -991,7 +992,7 @@ class FollowerClient:
         """Generation of the snapshot a frame must apply to (0 before any).
 
         This is what ``apply_delta`` and ``install_snapshot`` check, so it is
-        what ``HELLO`` and ``NACK`` announce.  A replica pool's builder moves
+        what ``HELLO`` and ``NACK`` announce.  A replica pool's snapshot moves
         before its fleet rolls, and stays ahead if a roll fails, so the
         pool's serving :attr:`generation` can trail this base; announcing
         that instead would make the publisher re-ship a full frame the base

@@ -47,8 +47,9 @@ from repro.service.shards import ShardedFilterStore
 from repro.service.stats import AdaptiveStats, ServiceStats
 
 #: Distinguishes service instances inside shared metric families: every
-#: instance labels its children ``service="svc-<n>"`` so two services in one
-#: process (or two hundred across a test run) never mix their counters.
+#: instance labels its children ``service="<prefix>-<n>"`` (``svc-<n>``, or
+#: ``pool-<n>`` for a replica pool) so two services in one process (or two
+#: hundred across a test run) never mix their counters.
 _SERVICE_IDS = itertools.count(1)
 
 
@@ -156,6 +157,9 @@ class MembershipService:
             a name (e.g. ``bits_per_key=12.0``).
     """
 
+    #: Prefix of this instance's ``service`` label in the metric families.
+    _LABEL_PREFIX = "svc"
+
     def __init__(
         self,
         backend: BackendSpec = "habf",
@@ -185,7 +189,7 @@ class MembershipService:
         self._snapshot: Optional[Snapshot] = None
         self._swap_lock = threading.Lock()
         self._registry = registry if registry is not None else default_registry()
-        self._obs_label = f"svc-{next(_SERVICE_IDS)}"
+        self._obs_label = f"{self._LABEL_PREFIX}-{next(_SERVICE_IDS)}"
         self._fpr = fpr_estimator
         self._adaptive = adaptive_policy
         self._store_path = store_path
@@ -432,7 +436,9 @@ class MembershipService:
             current = self._snapshot
             generation = current.generation + 1 if current else 1
             store = self._persist(store, generation, rebuilt)
-            self._swap(generation, store, len(keys), self._build_signature())
+            # Everything the build decided is recorded before the swap: a
+            # replica pool's swap also rolls its fleet, and a roll that
+            # fails must not undo the build the snapshot already serves.
             self._shards_rebuilt.inc(len(rebuilt))
             self._shards_skipped.inc(len(skipped))
             self._rebuild_seconds.observe(watch.seconds)
@@ -441,19 +447,20 @@ class MembershipService:
                 self._adaptive_evals.inc()
                 if plan.migrations:
                     self._adaptive_migrated.inc(len(plan.migrations))
-        estimator = self._fpr
-        if estimator is not None:
-            if estimator.auto_oracle:
-                estimator.set_key_oracle(keys)
-            if estimator.auto_known_negatives:
-                estimator.set_known_negatives(negatives)
-                if costs is not None:
-                    estimator.set_costs(costs)
-            if plan is not None and plan.migrations:
-                # Accumulated evidence on migrated shards describes the
-                # previous backend; fresh samples must re-qualify the shard
-                # before it can move again (flap damping).
-                estimator.reset_shards(plan.migrations)
+            estimator = self._fpr
+            if estimator is not None:
+                if estimator.auto_oracle:
+                    estimator.set_key_oracle(keys)
+                if estimator.auto_known_negatives:
+                    estimator.set_known_negatives(negatives)
+                    if costs is not None:
+                        estimator.set_costs(costs)
+                if plan is not None and plan.migrations:
+                    # Accumulated evidence on migrated shards describes the
+                    # previous backend; fresh samples must re-qualify the
+                    # shard before it can move again (flap damping).
+                    estimator.reset_shards(plan.migrations)
+            self._swap(generation, store, len(keys), self._build_signature())
         return generation
 
     def _persist(
@@ -489,13 +496,15 @@ class MembershipService:
     ) -> None:
         """Serve a new snapshot, adopting the store's shard count and router
         seed so a later :meth:`rebuild` keeps its placement.  Caller holds
-        ``_swap_lock``."""
+        ``_swap_lock``.  Every install path ends here, so a
+        :class:`~repro.service.multiproc.ReplicaPool` extends it to roll its
+        replicas."""
         if self._snapshot is not None:
             self._rebuilds.inc()
         self._num_shards = store.num_shards
         self._router_seed = store.router_seed
         self._snapshot = Snapshot(generation, store, num_keys, build_params)
-        self._generation_gauge.set(generation)
+        self._generation_gauge.set(self.generation)
         self._keys_gauge.set(num_keys)
 
     def open_store(self) -> int:
@@ -550,7 +559,7 @@ class MembershipService:
         ``generation`` pins the installed snapshot to an externally assigned
         version instead of the local ``previous + 1`` counter.  Replica
         processes serving a :class:`~repro.service.multiproc.SharedFrameArena`
-        use this so every replica answers with the *builder's* generation
+        use this so every replica answers with the *pool's* generation
         number — the property that lets a dispatcher assert no window ever
         mixes generations across replicas.  It must move forward.
 
@@ -746,7 +755,7 @@ apply_to_service`: validates the delta against the serving snapshot,
                 ),
             )
         return ServiceStats(
-            generation=snapshot.generation if snapshot else 0,
+            generation=self.generation,
             num_keys=snapshot.num_keys if snapshot else 0,
             queries=int(self._queries.value),
             batches=int(self._batches.value),

@@ -438,7 +438,7 @@ class TestReplicaPoolMigration:
             # the estimator (the adaptive evidence path).
             for start in range(0, len(KEYS), 256):
                 pool.query_batch(KEYS[start : start + 256])
-            store = pool._builder.snapshot.store
+            store = pool.snapshot.store
             wanted, injected = {0, 1}, {0: 0, 1: 0}
             for key in NEGATIVES:
                 shard = store.shard_of(key)

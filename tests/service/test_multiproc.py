@@ -12,15 +12,19 @@ client observes is monotone across a rebuild under load.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import glob
 import os
+import pickle
 import signal
 import threading
 import time
+from multiprocessing import shared_memory
 
 import pytest
 
 from repro.errors import CodecError, ServiceError
+from repro.service import codec
 from repro.service.aserve import AdaptiveMicroBatcher
 from repro.service.multiproc import (
     ReplicaPool,
@@ -62,7 +66,6 @@ class TestSharedFrameArena:
             assert arena.owner and arena.generation == 7
             replica_side = SharedFrameArena.attach(arena.name)
             assert not replica_side.owner
-            assert replica_side.generation == 7
             assert replica_side.frame_bytes == arena.frame_bytes
             decoded = replica_side.load_store()
             assert decoded.query_many(KEYS[:200]) == [True] * 200
@@ -77,10 +80,7 @@ class TestSharedFrameArena:
         try:
             decoded = arena.load_store()
             assert decoded.query(KEYS[0])
-            header = SharedFrameArena._HEADER.size
-            arena._shm.buf[header : header + arena.frame_bytes] = bytes(
-                arena.frame_bytes
-            )
+            arena._shm.buf[: arena.frame_bytes] = bytes(arena.frame_bytes)
             assert decoded.query_many(KEYS[:50]) == [False] * 50
             del decoded
         finally:
@@ -94,6 +94,20 @@ class TestSharedFrameArena:
                 SharedFrameArena.attach(arena.name)
         finally:
             arena.dispose()
+
+    def test_attach_rejects_a_segment_shorter_than_its_frame(self, store):
+        frame = codec.dumps(store)
+        for size, match in ((8, "too short"), (len(frame) - 1, "declares")):
+            shm = shared_memory.SharedMemory(
+                name=f"repro-arena-short-{os.getpid()}-{size}", create=True, size=size
+            )
+            try:
+                shm.buf[:size] = frame[:size]
+                with pytest.raises(CodecError, match=match):
+                    SharedFrameArena.attach(shm.name)
+            finally:
+                shm.close()
+                shm.unlink()
 
     def test_dispose_is_idempotent(self, store):
         arena = SharedFrameArena.publish(store, generation=1)
@@ -124,7 +138,7 @@ def pool():
 class TestReplicaPool:
     def test_answers_match_direct_store(self, pool):
         pool.load(KEYS, negatives=NEGATIVES)
-        direct = pool._builder.snapshot.store
+        direct = pool.snapshot.store
         probe = KEYS[:300] + NEGATIVES[:300]
         answer = pool.query_batch(probe)
         assert answer.verdicts == direct.query_many(probe)
@@ -150,18 +164,46 @@ class TestReplicaPool:
         assert sum(report["queries"] for report in per_replica) == 150
         assert {report["generation"] for report in per_replica} == {1}
 
-    def test_metrics_carry_replica_labels(self, pool):
+    def test_metric_shape_is_one_pool_child(self):
+        """Each ``repro_service_*`` family holds one ``service="pool-N"``
+        child and nothing else: the per-replica split lives in the
+        ``repro_replica_*`` families, and ``stats()`` reads the exported
+        children."""
+        from repro.obs import Registry, parse_families
         from repro.obs.export import render_text
 
-        pool.load(KEYS)
-        pool.query_batch(KEYS[:10])
-        text = render_text(pool.registry)
-        assert 'repro_replica_windows_total{pool="' in text
+        with ReplicaPool(
+            replicas=2, backend="bloom-dh", num_shards=2, bits_per_key=10.0,
+            registry=Registry(),
+        ) as pool:
+            pool.load(KEYS)
+            pool.rebuild(KEYS + ["one-more-key"])
+            for start in range(0, 200, 40):
+                pool.query_batch(KEYS[start : start + 30] + NEGATIVES[start : start + 10])
+            pool.query(KEYS[0])
+            with pytest.raises(ServiceError, match="rejected"):
+                pool.query_batch([])
+            stats = pool.stats()
+            text = render_text(pool.registry)
         label = pool._obs_label
-        assert (
-            f'repro_service_queries_total{{service="{label}",replica="0"}}' in text
-            or f'repro_service_queries_total{{service="{label}",replica="1"}}' in text
-        )
+        assert label.startswith("pool-")
+        assert 'service="svc-' not in text
+        families = parse_families(text)
+        exported = {}
+        for name, (_kind, samples) in families.items():
+            if name.startswith("repro_service_"):
+                assert list(samples) == [f'{name}{{service="{label}"}}'], samples
+                exported[name] = next(iter(samples.values()))
+        assert len(exported) >= 9
+        replica_keys = families["repro_replica_keys_total"][1]
+        assert len(replica_keys) == 2
+        assert sum(replica_keys.values()) == exported["repro_service_queries_total"] == 201
+        assert stats.queries == 201
+        assert stats.batches == exported["repro_service_batches_total"] == 6
+        assert stats.positives == exported["repro_service_positives_total"]
+        assert stats.rejected_batches == exported["repro_service_rejected_batches_total"] == 1
+        assert stats.generation == exported["repro_service_generation"] == 2
+        assert stats.rebuilds == exported["repro_service_rebuilds_total"] == 1
 
     def test_close_is_idempotent_and_queries_fail_after(self, pool):
         pool.load(KEYS)
@@ -169,6 +211,48 @@ class TestReplicaPool:
         pool.close()
         with pytest.raises(ServiceError, match="closed"):
             pool.query_batch(["x"])
+
+    def test_timed_out_reply_never_answers_a_later_window(self):
+        """A replica that misses a window's deadline still owes that
+        window's reply.  Handing it back to the free queue would let the
+        next window sent to it read that reply as its own: member keys
+        answered with a window of negatives' verdicts, false negatives."""
+        with ReplicaPool(
+            replicas=2, backend="bloom-dh", num_shards=2, bits_per_key=10.0,
+            request_timeout=0.5,
+        ) as pool:
+            pool.load(KEYS)
+            store = pool.snapshot.store
+            tokens = [pool._free.get_nowait() for _ in range(2)]
+            victim = tokens[0].process.pid
+            for token in tokens:  # the victim draws the next window
+                pool._free.put(token)
+            os.kill(victim, signal.SIGSTOP)
+            try:
+                with pytest.raises(ServiceError, match="timed out") as timed_out:
+                    pool.query_batch(NEGATIVES[:8])
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(victim, signal.SIGCONT)
+            time.sleep(0.2)  # a resumed replica writes its late reply now
+            for start in range(0, 48, 8):
+                window = KEYS[start : start + 8]
+                try:
+                    answer = pool.query_batch(window)
+                except ServiceError:
+                    continue
+                assert answer.verdicts == store.query_many(window)
+            assert "after 0.5s" in str(timed_out.value)
+
+    def test_unsendable_window_hands_its_replica_back(self):
+        with ReplicaPool(
+            replicas=1, backend="bloom-dh", num_shards=2, bits_per_key=10.0,
+            request_timeout=2.0,
+        ) as pool:
+            pool.load(KEYS)
+            with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+                pool.query_batch([threading.Lock()])
+            assert pool.query_batch(KEYS[:4]).verdicts == [True] * 4
 
 
 class TestStatsByReplica:

@@ -58,3 +58,19 @@ def test_worse_is_measured_in_the_metric_direction():
 
 def test_metric_missing_from_every_run_has_no_summary():
     assert bench_compare.summarise(P50, _pairs([100.0], [120.0])) is None
+
+
+def test_paired_ratio_is_reported_but_decides_nothing():
+    # The seeds spread both sides fourfold, so the metric stays unresolved,
+    # yet on every seed the change reads 1% above the parent.  The pair
+    # whose parent run failed is left out of the ratio.
+    pairs = _pairs([100.0, 200.0, 300.0, 400.0, None], [101.0, 202.0, 303.0, 404.0, 500.0])
+    result = bench_compare.summarise(QPS, pairs)
+    assert result["unresolved"] and not result["worse_than_bound"]
+    ratio = result["ratio"]
+    assert ratio["median"] == pytest.approx(1.01)
+    assert ratio["q1"] == pytest.approx(1.01) and ratio["q3"] == pytest.approx(1.01)
+    mixed = bench_compare.summarise(QPS, _pairs([100.0, 100.0, 100.0], [90.0, 100.0, 130.0]))
+    assert (mixed["ratio"]["q1"], mixed["ratio"]["median"], mixed["ratio"]["q3"]) == (
+        pytest.approx(0.95), pytest.approx(1.0), pytest.approx(1.15)
+    )
