@@ -10,6 +10,10 @@ repo root so successive PRs can track the trend.
 The filters are built once on a smaller positive set (construction is
 scalar TPJO work, not what this benchmark measures) and queried with a
 mixed positive/negative workload, the shape a blacklist gateway sees.
+
+A report-only ``store`` row (no gate) sits between the engine and the
+served gateway: an 8-shard ``habf`` store answering the same probe in
+serving-window-sized ``query_many`` calls, encoding included.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.metrics.benchmeta import bench_environment
 from repro.core.bloom import BloomFilter, optimal_num_hashes
 from repro.core.habf import HABF
 from repro.core.params import HABFParams
+from repro.service.shards import ShardedFilterStore
 from repro.workloads.shalla import generate_shalla_like
 
 NUM_QUERY_KEYS = 100_000
@@ -34,6 +39,11 @@ BITS_PER_KEY = 10.0
 #: The engine must beat the scalar loop by at least this factor (the
 #: measured margin is far larger; 3x keeps the gate robust on noisy CI).
 REQUIRED_SPEEDUP = 3.0
+
+#: The store row: shards, keys per ``query_many`` window, timed rounds.
+STORE_SHARDS = 8
+STORE_WINDOW_KEYS = 1_536
+STORE_ROUNDS = 5
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch_engine.json"
 
@@ -84,6 +94,30 @@ def _measure(filter_obj, probe, scalar_sample=10_000):
     }
 
 
+def _measure_store(store, probe):
+    """Median keys/s of ``STORE_ROUNDS`` passes over the probe in windows."""
+    windows = [
+        probe[start : start + STORE_WINDOW_KEYS]
+        for start in range(0, len(probe), STORE_WINDOW_KEYS)
+    ]
+    rates = []
+    for _ in range(STORE_ROUNDS):
+        start = time.perf_counter()
+        for window in windows:
+            store.query_many(window)
+        rates.append(len(probe) / (time.perf_counter() - start))
+    sample = windows[0]
+    assert store.query_many(sample) == [store.query(key) for key in sample]
+    return {
+        "backend": "habf",
+        "shards": STORE_SHARDS,
+        "window_keys": STORE_WINDOW_KEYS,
+        "rounds": STORE_ROUNDS,
+        "query_qps": round(sorted(rates)[len(rates) // 2]),
+        "num_query_keys": len(probe),
+    }
+
+
 @pytest.fixture(scope="module")
 def engine_report():
     dataset, probe = _workload()
@@ -107,6 +141,14 @@ def engine_report():
             "habf": _measure(habf, probe),
         },
     }
+    store = ShardedFilterStore.build(
+        dataset.positives,
+        dataset.negatives[:NUM_POSITIVES],
+        num_shards=STORE_SHARDS,
+        backend="habf",
+        bits_per_key=BITS_PER_KEY,
+    )
+    report["store"] = _measure_store(store, probe)
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     return report
 

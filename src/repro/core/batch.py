@@ -27,6 +27,12 @@ filters:
   that index's rows.  Round 2 is sparse — most first-round misses carry no
   selection — so it never pays a pass over the whole serving window
   (see invariant 3 in ``docs/ARCHITECTURE.md``).
+
+Both the position kernels and the HABF window program
+(:func:`repro.core.habf.contains_window`) accept rows that belong to
+several filters at once: each row carries its filter's modulus (and the
+caller adds its table offset), see :func:`at_rows`, and
+:func:`gather_bits` reads the filters' bit bytes laid end to end.
 """
 
 from __future__ import annotations
@@ -128,7 +134,34 @@ def positions_for_selection(family, batch: "vec.KeyBatch", selection: Sequence[i
     return family.hash_many(batch, indexes=list(selection), modulus=modulus)
 
 
-def _positions_for_group(family, batch, family_index: int, group_rows, modulus: int):
+def at_rows(values, rows):
+    """A per-row parameter restricted to ``rows``.
+
+    The engine's kernels take each row's modulus and table offset either as
+    one scalar, when every row probes the same filter, or as a vector with
+    one entry per row, when the rows probe several filters' tables laid end
+    to end.  A scalar applies to every row; ``rows=None`` means all rows.
+    """
+    if rows is None or values.ndim == 0:
+        return values
+    return values[rows]
+
+
+def gather_bits(bits, positions):
+    """Gather the bits at ``positions`` from the uint8 array ``bits``.
+
+    ``bits`` holds one or more filters' bit bytes end to end (see
+    :meth:`~repro.core.bitarray.BitArray.byte_view`), and each position
+    already includes its filter's bit offset.  Positions come from a
+    modulus reduction, so they are in range by construction.  Returns a
+    bool array of the same shape.
+    """
+    np = vec.numpy_or_none()
+    shift = (positions & np.uint64(7)).astype(np.uint8)
+    return (bits[positions >> np.uint64(3)] >> shift) & 1 != 0
+
+
+def _positions_for_group(family, batch, family_index: int, group_rows, modulus):
     """Positions of the keys at ``group_rows`` under one family member.
 
     The HashExpressor chain walk and the HABF second round are sparse: each
@@ -138,53 +171,64 @@ def _positions_for_group(family, batch, family_index: int, group_rows, modulus: 
     only its own rows — the scalar loop at or below
     :data:`~repro.hashing.vectorized.SCALAR_CROSSOVER_ROWS` — never a
     whole-window pass (see :func:`~repro.hashing.vectorized.hash_rows`).
+    ``modulus`` is one value or one per group row.
     """
     function = family[family_index]
     group = batch.take(group_rows)
     # Memoise the group's own rows first, so hash_many below reads them
     # instead of starting a pass over the whole window.
     vec.hash_rows(function.primitive, group)
-    return function.hash_many(group, modulus)
+    return function.hash_many(group) % modulus
 
 
-def positions_for_matrix(family, batch: "vec.KeyBatch", selection_matrix, modulus: int, rows=None):
+def positions_for_matrix(family, batch: "vec.KeyBatch", selection_matrix, modulus, rows=None):
     """Bit positions under a per-key selection matrix.
 
     ``selection_matrix`` is ``(m, k)`` of family indexes — row ``i`` is the
     customised selection (as recovered from the HashExpressor) of the key at
     batch row ``rows[i]`` (``rows=None`` means rows ``0..m-1``, i.e. the
-    whole batch).  Returns positions of the same shape.  A table family is
-    hashed per family-index group, each group only over its own rows (see
+    whole batch).  ``modulus`` is one int, or a vector with one entry per
+    matrix row when the rows belong to filters of different sizes.  Returns
+    positions of the same shape.  A table family hashes each family index
+    once, over every row and column that selects it (see
     :func:`_positions_for_group`); a double-hashing family derives every
     column from the batch's one memoised base pass.
     """
     np = vec.numpy_or_none()
     selection_matrix = np.asarray(selection_matrix, dtype=np.int64)
+    modulus = np.asarray(modulus, dtype=np.uint64)
     if rows is None:
         rows = np.arange(selection_matrix.shape[0])
     if isinstance(family, DoubleHashFamily):
         h1, h2 = family.base_hashes_many(batch)
         h1, odd = h1[rows], (h2 | np.uint64(1))[rows]
         steps = (selection_matrix + 1).astype(np.uint64)
-        return (h1[:, None] + steps * odd[:, None]) % np.uint64(modulus)
-    positions = np.zeros(selection_matrix.shape, dtype=np.uint64)
-    for column in range(selection_matrix.shape[1]):
-        indexes = selection_matrix[:, column]
-        for family_index in np.unique(indexes):
-            members = np.flatnonzero(indexes == family_index)
-            positions[members, column] = _positions_for_group(
-                family, batch, int(family_index), rows[members], modulus
-            )
-    return positions
+        return (h1[:, None] + steps * odd[:, None]) % modulus.reshape(-1, 1)
+    width = selection_matrix.shape[1]
+    indexes = selection_matrix.reshape(-1)
+    entry_rows = np.repeat(rows, width)
+    entry_modulus = modulus if modulus.ndim == 0 else np.repeat(modulus, width)
+    positions = np.zeros(indexes.shape, dtype=np.uint64)
+    for family_index in np.unique(indexes):
+        members = np.flatnonzero(indexes == family_index)
+        positions[members] = _positions_for_group(
+            family,
+            batch,
+            int(family_index),
+            entry_rows[members],
+            at_rows(entry_modulus, members),
+        )
+    return positions.reshape(selection_matrix.shape)
 
 
-def hash_for_index_vector(family, batch: "vec.KeyBatch", indexes, modulus: int, rows=None):
+def hash_for_index_vector(family, batch: "vec.KeyBatch", indexes, modulus, rows=None):
     """One hash per entry where entry ``i`` uses ``family[indexes[i]]``.
 
     The single-column case of :func:`positions_for_matrix`; used by the
     HashExpressor chain walk, where each step's next cell is addressed by the
     hash function stored in the current cell.  ``rows`` maps the entries onto
-    batch rows, letting the walk hash only the chains still alive.
+    batch rows, letting the walk hash only the chains still alive, and
+    ``modulus`` is one int or one per entry.
     """
     np = vec.numpy_or_none()
     return positions_for_matrix(
@@ -194,6 +238,8 @@ def hash_for_index_vector(family, batch: "vec.KeyBatch", indexes, modulus: int, 
 
 __all__ = [
     "BatchMembership",
+    "at_rows",
+    "gather_bits",
     "positions_for_selection",
     "positions_for_matrix",
     "hash_for_index_vector",

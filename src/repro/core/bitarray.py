@@ -118,7 +118,7 @@ class BitArray:
         index = self._checked_index_vector(np, indices)
         if not index.size:
             return
-        view = np.frombuffer(self._buffer, dtype=np.uint8)
+        view = self.byte_view()
         np.bitwise_or.at(
             view, index >> 3, np.uint8(1) << (index & 7).astype(np.uint8)
         )
@@ -133,8 +133,18 @@ class BitArray:
         if np is None:
             return [self.test(int(index)) for index in indices]
         index = self._checked_index_vector(np, indices)
-        view = np.frombuffer(self._buffer, dtype=np.uint8)
+        view = self.byte_view()
         return (view[index >> 3] >> (index & 7).astype(np.uint8)) & 1 != 0
+
+    def byte_view(self):
+        """The bit bytes as a uint8 ndarray aliasing this array's buffer.
+
+        Bit ``i`` is bit ``i & 7`` of byte ``i >> 3``.  The batch engine
+        gathers bits through this view, and lays several filters' views end
+        to end to probe them in one gather.  Requires numpy.
+        """
+        np = _vec.numpy_or_none()
+        return np.frombuffer(self._buffer, dtype=np.uint8)
 
     def count(self) -> int:
         """Return the number of bits set to 1 (popcount)."""

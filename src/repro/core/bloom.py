@@ -17,7 +17,13 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Sequence, Union
 
-from repro.core.batch import BatchMembership, positions_for_matrix, positions_for_selection
+from repro.core.batch import (
+    BatchMembership,
+    at_rows,
+    gather_bits,
+    positions_for_matrix,
+    positions_for_selection,
+)
 from repro.core.bitarray import BitArray
 from repro.errors import ConfigurationError
 from repro.hashing import vectorized as vec
@@ -33,6 +39,56 @@ def optimal_num_hashes(bits_per_key: float) -> int:
     if bits_per_key <= 0:
         raise ConfigurationError("bits_per_key must be positive")
     return max(1, int(round(math.log(2) * bits_per_key)))
+
+
+def probe_selection(family, batch, selection: Sequence[int], bits, modulus, offset):
+    """Test every row of ``batch`` under one fixed hash selection (H0).
+
+    ``bits`` holds one or more filters' bit bytes end to end; row ``r``
+    probes the filter whose table starts at bit ``offset[r]`` and holds
+    ``modulus[r]`` bits (each may also be one scalar for every row, see
+    :func:`~repro.core.batch.at_rows`).  The filters must share ``family``.
+
+    For a table family the probe short-circuits row by row: keys that miss
+    hash ``i`` are dropped from the batch before hash ``i+1`` runs, so a
+    mixed workload pays roughly ``1/(1-fill)`` hash rows instead of ``k``.
+    Double-hashing families skip the short-circuit — their ``k`` rows all
+    derive from one memoised base pass, so dropping rows saves almost
+    nothing and would re-slice the batch per row.  Returns a bool vector.
+    """
+    np = vec.numpy_or_none()
+    if isinstance(family, DoubleHashFamily):
+        positions = family.hash_many(batch, indexes=list(selection)) % modulus + offset
+        return gather_bits(bits, positions).all(axis=0)
+    answers = np.ones(len(batch), dtype=bool)
+    alive = None  # None means "all rows", avoiding an initial take()
+    for index in selection:
+        sub = batch if alive is None else batch.take(alive)
+        raw = family[index].hash_many(sub)
+        hits = gather_bits(bits, raw % at_rows(modulus, alive) + at_rows(offset, alive))
+        if alive is None:
+            answers &= hits
+            alive = np.flatnonzero(hits)
+        else:
+            answers[alive[~hits]] = False
+            alive = alive[hits]
+        if not alive.size:
+            break
+    return answers
+
+
+def probe_matrix(family, batch, selection_matrix, bits, modulus, offset, rows=None):
+    """Test batch rows under per-key selections (HABF round 2).
+
+    Row ``i`` of ``selection_matrix`` is the selection of batch row
+    ``rows[i]`` (see :func:`~repro.core.batch.positions_for_matrix`);
+    ``bits``, ``modulus`` and ``offset`` are as in :func:`probe_selection`,
+    with one entry per matrix row.  One bit gather answers every row.
+    """
+    np = vec.numpy_or_none()
+    positions = positions_for_matrix(family, batch, selection_matrix, modulus, rows=rows)
+    offset = np.asarray(offset, dtype=np.uint64).reshape(-1, 1)
+    return gather_bits(bits, positions + offset).all(axis=1)
 
 
 class BloomFilter(BatchMembership):
@@ -256,50 +312,17 @@ class BloomFilter(BatchMembership):
         return self.contains(key)
 
     def _probe_batch(self, batch, selection: Sequence[int]):
-        """Engine round: test a whole batch under one fixed selection.
-
-        For a table family the probe short-circuits row by row: keys that
-        miss hash ``i`` are dropped from the batch before hash ``i+1`` runs,
-        so a mixed workload pays roughly ``1/(1-fill)`` hash rows instead of
-        ``k``.  Double-hashing families skip the short-circuit — their ``k``
-        rows all derive from one memoised base pass, so dropping rows saves
-        almost nothing and would re-slice the batch per row.
-        """
+        """Engine round: test a whole batch under one fixed selection (see
+        :func:`probe_selection`, here over this filter's table alone)."""
         np = vec.numpy_or_none()
-        if isinstance(self._family, DoubleHashFamily):
-            positions = positions_for_selection(
-                self._family, batch, selection, len(self._bits)
-            )
-            tested = self._bits.test_many(positions.reshape(-1))
-            return tested.reshape(positions.shape).all(axis=0)
-        modulus = len(self._bits)
-        answers = np.ones(len(batch), dtype=bool)
-        alive = None  # None means "all rows", avoiding an initial take()
-        for index in selection:
-            sub = batch if alive is None else batch.take(alive)
-            positions = self._family[index].hash_many(sub, modulus)
-            hits = self._bits.test_many(positions)
-            if alive is None:
-                answers &= hits
-                alive = np.flatnonzero(hits)
-            else:
-                answers[alive[~hits]] = False
-                alive = alive[hits]
-            if not alive.size:
-                break
-        return answers
-
-    def _probe_matrix(self, batch, selection_matrix, rows=None):
-        """Engine round: test a batch under per-key selections (HABF round 2).
-
-        ``rows`` maps the selection-matrix rows onto batch rows (see
-        :func:`repro.core.batch.positions_for_matrix`).
-        """
-        positions = positions_for_matrix(
-            self._family, batch, selection_matrix, len(self._bits), rows=rows
+        return probe_selection(
+            self._family,
+            batch,
+            selection,
+            self._bits.byte_view(),
+            np.uint64(len(self._bits)),
+            np.uint64(0),
         )
-        tested = self._bits.test_many(positions.reshape(-1))
-        return tested.reshape(positions.shape).all(axis=1)
 
     def _contains_batch(self, batch):
         """Batch form of :meth:`contains`: one H0 array probe."""

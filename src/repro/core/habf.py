@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence, Union
 
-from repro.core.batch import BatchMembership
-from repro.core.bloom import BloomFilter
-from repro.core.hash_expressor import HashExpressor
+from repro.core.batch import BatchMembership, at_rows
+from repro.core.bloom import BloomFilter, probe_matrix, probe_selection
+from repro.core.hash_expressor import HashExpressor, walk_chains
 from repro.core.params import HABFParams
 from repro.core.tpjo import TPJOOptimizer, TPJOStats
 from repro.errors import ConfigurationError, ConstructionError
+from repro.hashing import vectorized as vec
 from repro.hashing.base import Key
 from repro.hashing.double_hashing import DoubleHashFamily
 from repro.hashing.registry import GLOBAL_HASH_FAMILY, HashFamily
@@ -175,33 +176,9 @@ class HABF(BatchMembership):
         return self.contains(key)
 
     def _contains_batch(self, batch):
-        """Batch form of the two-round query.
-
-        Round 1 is one vectorized H0 Bloom probe over the whole batch.  Only
-        the first-round misses (typically the negatives) enter round 2: one
-        lock-step HashExpressor chain walk recovers their customised
-        selections, and the keys with a valid selection get a second
-        vectorized Bloom probe under the decoded per-key selection matrix.
-        """
-        from repro.hashing import vectorized as vec
-
-        np = vec.numpy_or_none()
-        answers = self._bloom._contains_batch(batch)
-        expressor = self._expressor
-        if expressor is None:
-            return answers
-        missed = np.flatnonzero(~answers)
-        if not missed.size:
-            return answers
-        misses = batch.take(missed)
-        selections, valid = expressor.query_many_batch(misses, self._params.k)
-        recovered = np.flatnonzero(valid)
-        if not recovered.size:
-            return answers
-        answers[missed[recovered]] = self._bloom._probe_matrix(
-            misses, selections[recovered], rows=recovered
-        )
-        return answers
+        """Batch form of the two-round query: :func:`contains_window` over
+        this filter alone."""
+        return contains_window([self], batch)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -283,3 +260,122 @@ class FastHABF(HABF):
         habf = cls(params=params, family=family, base_primitive=base_primitive)
         habf.fit(positives, negatives, costs)
         return habf
+
+
+def _family_identity(family):
+    """What a family's hash values depend on.
+
+    Each decoded shard builds its own :class:`DoubleHashFamily`, so those
+    compare by their parameters; table families compare by identity (the
+    ``habf`` backend's shards share the one global Table II family).
+    """
+    if isinstance(family, DoubleHashFamily):
+        return ("double", len(family), family.primitive_name, family.seed)
+    return id(family)
+
+
+def probe_signature(filt) -> Optional[tuple]:
+    """What HABFs must share to answer one window in one program, or ``None``.
+
+    The signature is the hash family, the initial selection ``H0`` and the
+    chain length ``k``.  ``None`` means ``filt`` cannot join a window
+    program: it is no HABF, or its HashExpressor hashes with another family
+    than its Bloom filter.
+    """
+    if not isinstance(filt, HABF):
+        return None
+    family = _family_identity(filt.bloom.family)
+    expressor = filt.expressor
+    if expressor is not None and _family_identity(expressor._family) != family:
+        return None
+    return family, tuple(filt.bloom.initial_selection), filt.params.k
+
+
+def contains_window(filters: Sequence[HABF], batch, owners=None):
+    """The two-round query (Section III-E) of ``batch`` over several HABFs.
+
+    Row ``r`` of ``batch`` is answered by ``filters[owners[r]]``;
+    ``owners=None`` means every row is answered by the one filter in
+    ``filters``.  Several filters must share one :func:`probe_signature`.
+    Their Bloom bit bytes and HashExpressor cells are laid end to end for
+    this call only, and each row carries its own filter's modulus and
+    offset, so each stage runs once for the whole window:
+
+    1. one H0 probe of every row (:func:`~repro.core.bloom.probe_selection`);
+    2. for the first-round misses of filters with a HashExpressor, one
+       lock-step chain walk (:func:`~repro.core.hash_expressor.walk_chains`)
+       recovers their customised selections;
+    3. the rows with a valid selection get one probe under the decoded
+       per-key selection matrix (:func:`~repro.core.bloom.probe_matrix`).
+
+    The walk and round 2 hash each family index once over the rows of every
+    filter that select it.  Returns a bool vector; requires numpy.
+    """
+    np = vec.numpy_or_none()
+    first = filters[0]
+    family = first.bloom.family
+    expressors = [filt.expressor for filt in filters]
+    if owners is None:
+        bits = first.bloom.bits.byte_view()
+        bit_modulus = np.uint64(first.bloom.num_bits)
+        bit_offset = np.uint64(0)
+    else:
+        views = [filt.bloom.bits.byte_view() for filt in filters]
+        bits = np.concatenate(views)
+        sizes = np.array([view.size for view in views], dtype=np.uint64)
+        starts = (np.cumsum(sizes) - sizes) * np.uint64(8)
+        moduli = np.array([filt.bloom.num_bits for filt in filters], dtype=np.uint64)
+        bit_modulus = moduli[owners]
+        bit_offset = starts[owners]
+    answers = probe_selection(
+        family, batch, first.bloom.initial_selection, bits, bit_modulus, bit_offset
+    )
+    missed = np.flatnonzero(~answers)
+    present = [expressor for expressor in expressors if expressor is not None]
+    if not missed.size or not present:
+        return answers
+    if owners is None:
+        hash_index, endbit = present[0].cell_arrays()
+        cell_modulus = np.uint64(present[0].num_cells)
+        cell_offset = np.uint64(0)
+    else:
+        if len(present) < len(filters):
+            # A filter without a HashExpressor (∆ = 0) answers in round 1.
+            walks = np.array([expressor is not None for expressor in expressors])
+            missed = missed[walks[owners[missed]]]
+            if not missed.size:
+                return answers
+        tables = [expressor.cell_arrays() for expressor in present]
+        hash_index = np.concatenate([table[0] for table in tables])
+        endbit = np.concatenate([table[1] for table in tables])
+        counts = np.array(
+            [0 if expressor is None else expressor.num_cells for expressor in expressors],
+            dtype=np.uint64,
+        )
+        missed_owners = owners[missed]
+        cell_modulus = counts[missed_owners]
+        cell_offset = (np.cumsum(counts) - counts)[missed_owners]
+    misses = batch.take(missed)
+    selections, valid = walk_chains(
+        present[0]._family,
+        misses,
+        first.params.k,
+        hash_index,
+        endbit,
+        cell_modulus,
+        cell_offset,
+    )
+    recovered = np.flatnonzero(valid)
+    if not recovered.size:
+        return answers
+    rows = missed[recovered]
+    answers[rows] = probe_matrix(
+        family,
+        misses,
+        selections[recovered],
+        bits,
+        at_rows(bit_modulus, rows),
+        at_rows(bit_offset, rows),
+        rows=recovered,
+    )
+    return answers

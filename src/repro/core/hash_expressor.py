@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.batch import at_rows, hash_for_index_vector
 from repro.errors import ConfigurationError
 from repro.hashing import vectorized as vec
 from repro.hashing.base import HashFunction, Key
@@ -258,57 +259,31 @@ class HashExpressor:
             return None
         return selection
 
-    def query_many_batch(self, batch: "vec.KeyBatch", k: int):
-        """Vector form of :meth:`query` over an encoded batch.
-
-        Walks all chains in lock-step: one iteration per chain position, each
-        doing whole-batch array reads of the cell table plus a hash of the
-        next-cell addresses for the chains still alive only — grouped by
-        family index, each group over its own rows (a sparse stage: most
-        chains die on an empty cell).  The cell table's numpy arrays are
-        built once per expressor, not per call.  Returns
-        ``(selections, valid)`` where ``selections`` is an ``(n, k)`` int64
-        matrix and ``valid`` a bool vector — row ``r`` is meaningful only
-        where ``valid[r]`` is True; everywhere else the key falls back to
-        ``H0`` (the scalar ``None``).  Requires numpy (callers gate on the
-        engine).
-        """
-        if k < 1:
-            raise ConfigurationError("k must be at least 1")
-        from repro.core.batch import hash_for_index_vector
-
-        np = vec.numpy_or_none()
-        n = len(batch)
+    def cell_arrays(self):
+        """The cell table as numpy arrays: ``(hashindex int64, endbit bool)``,
+        built once per expressor, not per batch.  Requires numpy."""
         if self._cell_arrays is None:
+            np = vec.numpy_or_none()
             self._cell_arrays = (
                 np.asarray(self._hash_index, dtype=np.int64),
                 np.asarray(self._endbit, dtype=bool),
             )
-        hash_index, endbit = self._cell_arrays
-        cell = np.asarray(
-            _UNIFIED_HASH.hash_many(batch, self._num_cells), dtype=np.int64
+        return self._cell_arrays
+
+    def query_many_batch(self, batch: "vec.KeyBatch", k: int):
+        """Vector form of :meth:`query` over an encoded batch: the chain walk
+        of :func:`walk_chains` over this expressor's cells alone."""
+        np = vec.numpy_or_none()
+        hash_index, endbit = self.cell_arrays()
+        return walk_chains(
+            self._family,
+            batch,
+            k,
+            hash_index,
+            endbit,
+            np.uint64(self._num_cells),
+            np.uint64(0),
         )
-        alive = np.ones(n, dtype=bool)
-        selections = np.zeros((n, k), dtype=np.int64)
-        for step in range(k):
-            stored = hash_index[cell]
-            alive &= stored != 0
-            family_index = np.maximum(stored - 1, 0)
-            selections[:, step] = family_index
-            if step + 1 < k:
-                live = np.flatnonzero(alive)
-                if not live.size:
-                    break
-                # Only the chains still alive need their next cell hashed.
-                cell[live] = hash_for_index_vector(
-                    self._family, batch, family_index[live], self._num_cells, rows=live
-                ).astype(np.int64)
-        valid = alive & endbit[cell]
-        if k > 1:
-            ordered = np.sort(selections, axis=1)
-            # A chain that revisits a hash cannot belong to an inserted key.
-            valid &= ~(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        return selections, valid
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stats = self.stats()
@@ -316,3 +291,53 @@ class HashExpressor:
             f"HashExpressor(cells={self._num_cells}, occupied={stats.occupied_cells}, "
             f"keys={self._inserted_keys})"
         )
+
+
+def walk_chains(family, batch: "vec.KeyBatch", k: int, hash_index, endbit, num_cells, offset):
+    """Retrace the HashExpressor chains of every row of ``batch``.
+
+    ``hash_index`` and ``endbit`` hold one or more expressors' cells end to
+    end; row ``r`` walks the expressor whose cells start at ``offset[r]``
+    and number ``num_cells[r]`` (each may also be one scalar for every row,
+    see :func:`~repro.core.batch.at_rows`).  The expressors must share
+    ``family``.
+
+    Walks all chains in lock-step: one iteration per chain position, each
+    doing one gather of the cell table plus a hash of the next-cell
+    addresses for the chains still alive only — grouped by family index
+    across every expressor, each group over its own rows (a sparse stage:
+    most chains die on an empty cell).  Returns ``(selections, valid)``
+    where ``selections`` is an ``(n, k)`` int64 matrix and ``valid`` a bool
+    vector — row ``r`` is meaningful only where ``valid[r]`` is True;
+    everywhere else the key falls back to ``H0`` (the scalar ``None`` of
+    :meth:`HashExpressor.query`).  Requires numpy.
+    """
+    if k < 1:
+        raise ConfigurationError("k must be at least 1")
+    np = vec.numpy_or_none()
+    n = len(batch)
+    cell = (_UNIFIED_HASH.hash_many(batch) % num_cells + offset).astype(np.int64)
+    alive = np.ones(n, dtype=bool)
+    selections = np.zeros((n, k), dtype=np.int64)
+    for step in range(k):
+        stored = hash_index[cell]
+        alive &= stored != 0
+        family_index = np.maximum(stored - 1, 0)
+        selections[:, step] = family_index
+        if step + 1 < k:
+            live = np.flatnonzero(alive)
+            if not live.size:
+                break
+            # Only the chains still alive need their next cell hashed.
+            cell[live] = (
+                hash_for_index_vector(
+                    family, batch, family_index[live], at_rows(num_cells, live), rows=live
+                )
+                + at_rows(offset, live)
+            ).astype(np.int64)
+    valid = alive & endbit[cell]
+    if k > 1:
+        ordered = np.sort(selections, axis=1)
+        # A chain that revisits a hash cannot belong to an inserted key.
+        valid &= ~(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    return selections, valid

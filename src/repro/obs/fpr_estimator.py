@@ -223,9 +223,10 @@ class FprEstimator:
     ) -> None:
         """Feed one answered batch; samples a fraction of positive verdicts.
 
-        Unsampled keys cost one ``random()`` call each (positives only);
-        sampled keys additionally pay one shard routing and one oracle
-        lookup — the "shadow" work.  Callers that already hold per-key shard
+        Positives are listed at C speed and unsampled ones cost nothing
+        more; each sampled key pays one ``random()`` draw (the gap to the
+        next sample), one shard routing and one oracle lookup — the
+        "shadow" work.  Callers that already hold per-key shard
         assignments (the store's vectorized router pass) pass them as
         ``shards`` so sampling skips the per-key re-hash.
         """
@@ -236,24 +237,24 @@ class FprEstimator:
         rng_random = self._rng.random
         cost_fn = self._cost_fn
         # This runs inside the serving engine's dispatch, so per-key Python
-        # work on unsampled traffic must stay near zero: negatives are
-        # skipped at C speed (compress), fractional sampling draws geometric
+        # work on unsampled traffic must stay near zero: positives are
+        # listed at C speed (compress), fractional sampling draws geometric
         # gaps between sampled positives instead of a coin per positive
-        # (identical Bernoulli(rate) law, by memorylessness), and per-shard
-        # tallies merge under one lock acquisition per batch.
+        # (identical Bernoulli(rate) law, by memorylessness) and jumps over
+        # each gap, so Python work is per sampled key; per-shard tallies
+        # merge under one lock acquisition per batch.
+        sampled = compress(range(len(verdicts)), verdicts)
         if rate < 1.0:
             inv_log_miss = 1.0 / math.log(1.0 - rate)
-            skip = int(math.log(1.0 - rng_random()) * inv_log_miss)
-        else:
-            skip = 0
+            positives = list(sampled)
+            sampled = []
+            position = int(math.log(1.0 - rng_random()) * inv_log_miss)
+            while position < len(positives):
+                sampled.append(positives[position])
+                position += 1 + int(math.log(1.0 - rng_random()) * inv_log_miss)
         known = self._known_negatives
         pending: Dict[int, List[float]] = {}
-        for index in compress(range(len(verdicts)), verdicts):
-            if skip > 0:
-                skip -= 1
-                continue
-            if rate < 1.0:
-                skip = int(math.log(1.0 - rng_random()) * inv_log_miss)
+        for index in sampled:
             key = keys[index]
             shard = shards[index] if shards is not None else shard_of(key)
             entry = pending.get(shard)

@@ -255,10 +255,11 @@ class _LazyShardFilter:
     """Filter proxy bound to one epoch's shard; decodes on first probe.
 
     Satisfies the duck type :meth:`ShardedFilterStore.query_many` dispatches
-    on (``_contains_batch`` / ``_contains_fallback`` / ``contains_many`` /
-    ``contains``) plus the ``size_in_bits`` the stats layer reads — the
-    latter answered from the directory, so introspection never faults a
-    cold shard in.
+    on (``resolve``, which its engine path calls once per touched shard per
+    window, and ``_contains_batch`` / ``_contains_fallback`` /
+    ``contains_many`` / ``contains``) plus the ``size_in_bits`` the stats
+    layer reads — the latter answered from the directory, so introspection
+    never faults a cold shard in.
     """
 
     __slots__ = ("_owner", "_epoch", "_shard")
@@ -272,31 +273,32 @@ class _LazyShardFilter:
     def algorithm_name(self) -> str:
         return self._epoch.directory.shards[self._shard].backend_name
 
-    def _resolve(self):
+    def resolve(self):
+        """The decoded filter, through the store's cache (one lookup)."""
         return self._owner._filter_for(self._epoch, self._shard)
 
     def contains(self, key) -> bool:
-        return bool(self._resolve().contains(key))
+        return bool(self.resolve().contains(key))
 
     def __contains__(self, key) -> bool:
         return self.contains(key)
 
     def contains_many(self, keys) -> List[bool]:
-        target = self._resolve()
+        target = self.resolve()
         many = getattr(target, "contains_many", None)
         if many is not None:
             return many(keys)
         return [bool(target.contains(key)) for key in keys]
 
     def _contains_fallback(self, keys) -> List[bool]:
-        target = self._resolve()
+        target = self.resolve()
         fallback = getattr(target, "_contains_fallback", None)
         if fallback is not None:
             return fallback(keys)
         return [bool(target.contains(key)) for key in keys]
 
     def _contains_batch(self, batch):
-        target = self._resolve()
+        target = self.resolve()
         batch_fn = getattr(target, "_contains_batch", None)
         if batch_fn is not None:
             return batch_fn(batch)

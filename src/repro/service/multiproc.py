@@ -892,7 +892,8 @@ class ReplicaPool(MembershipService):
         if estimator is not None or self._adaptive is not None:
             snapshot = self._snapshot
             if snapshot is not None:
-                shards = snapshot.store.record_shard_traffic(raw, verdicts)
+                window = keys if isinstance(keys, vec.KeyBatch) else raw
+                shards = snapshot.store.record_shard_traffic(window, verdicts)
                 if positives and estimator is not None and estimator.active:
                     estimator.observe_batch(
                         raw, verdicts, snapshot.store.shard_of, shards=shards

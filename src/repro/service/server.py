@@ -655,6 +655,10 @@ apply_to_service`: validates the delta against the serving snapshot,
                 f"batch of {len(keys)} keys rejected; accepted sizes are "
                 f"1..{self._max_batch_size}"
             )
+        if not isinstance(keys, vec.KeyBatch) and vec.numpy_or_none() is not None:
+            # Encoded once here, the store and the FPR estimator's feed
+            # share the batch's memoised router pass.
+            keys = vec.KeyBatch(keys)
         snapshot = self._serving_snapshot()
         start = time.perf_counter()
         answers = snapshot.store.query_many(keys)
@@ -669,7 +673,6 @@ apply_to_service`: validates the delta against the serving snapshot,
         if positives and estimator is not None and estimator.active:
             if isinstance(keys, vec.KeyBatch):
                 raw = keys.keys
-                # Memoised on the batch: query_many's router pass is reused.
                 shards = snapshot.store.shards_of_many(keys)
             else:
                 raw, shards = keys, None

@@ -10,8 +10,9 @@ Sharding serves three purposes the single-filter core cannot:
 * **rebuild granularity** — the serving layer swaps whole stores atomically,
   and per-shard key-set fingerprints let a rebuild skip every shard whose
   keys did not change (:meth:`ShardedFilterStore.rebuild_from`);
-* **batch locality** — ``query_many`` groups a batch's keys per shard and
-  answers each group with one ``contains_many`` call, the pattern a gateway
+* **batch locality** — ``query_many`` routes a batch once and answers it
+  with one two-round program across the HABF shards it touches, or with one
+  engine call per shard group for other backends: the pattern a gateway
   checking a page full of URLs produces.
 
 The router hashes keys with a hash that is *independent* of every filter's
@@ -30,6 +31,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.habf import contains_window, probe_signature
 from repro.errors import ConfigurationError
 from repro.hashing import vectorized as vec
 from repro.hashing.base import Key, mix64, normalize_key
@@ -47,12 +49,16 @@ _MASK64 = (1 << 64) - 1
 
 #: A batch holding at most this many keys per shard it touches skips the
 #: array engine: :meth:`ShardedFilterStore.query_many` answers each shard
-#: group with the filter's scalar loop.  The engine pays a fixed setup per
-#: shard group (plus a little per window) and the scalar loop pays per key,
-#: so what decides is the keys per group, not the window size: an 8-key
-#: window over 8 shards holds groups of one or two keys, while a single
-#: filter's 16-key batch is one group, where the engine is up to twice as
-#: fast.
+#: group with the filter's scalar loop.  The per-shard engine loop pays a
+#: fixed setup per shard group (plus a little per window) and the scalar
+#: loop pays per key, so what decides is the keys per group, not the
+#: window size: an 8-key window over 8 shards holds groups of one or two
+#: keys, while a single filter's 16-key batch is one group, where the
+#: engine is up to twice as fast.  An HABF store's window program pays its
+#: setup once per window instead; the table below was measured against the
+#: per-shard loop, so its ``habf`` and ``f-habf`` rows overstate the
+#: engine's cost on 4 and 8 shards, and the cut stays where every backend
+#: agrees.
 #:
 #: Engine time over scalar time (above 1 the scalar loop is faster), 50k
 #: Shalla-like keys (seed 3), 10 bits/key, the wire benchmark's traffic mix,
@@ -149,6 +155,13 @@ class EmptyShardFilter:
 
     def size_in_bits(self) -> int:
         return 0
+
+
+def _resolved(filt):
+    """The filter that answers for ``filt``: a disk tier's lazy shard
+    resolves through its cache (one lookup); any other filter is itself."""
+    resolve = getattr(filt, "resolve", None)
+    return filt if resolve is None else resolve()
 
 
 def _group_positions(shards: Sequence[int]) -> Dict[int, List[int]]:
@@ -844,15 +857,16 @@ class ShardedFilterStore:
         partition is one router pass.  Callers that already hold an encoded
         :class:`~repro.hashing.vectorized.KeyBatch` (the asyncio
         micro-batcher encodes its flush window before dispatch) may pass it
-        directly and the encoding is reused.  Each shard's group is then
-        answered with one engine call, sharing the encoded sub-batch with
-        the filter's array program — unless the batch holds at most
-        :data:`SCALAR_KEYS_PER_GROUP` keys per shard it touches.  The engine
-        pays a fixed setup per shard group, which outweighs so few keys, so
-        such a batch skips it: each group is answered by the filter's scalar
-        loop, and the encoding serves only the router pass (which the FPR
-        estimator's feed then reuses).  Without numpy every batch takes that
-        scalar path, routed per key.
+        directly and the encoding is reused.  An HABF store then answers
+        the whole window with one two-round program across the shards it
+        touches; any other store answers each shard's group with one engine
+        call, sharing the encoded sub-batch with the filter's array program
+        (see :meth:`_query_many_vectorized`) — unless the batch holds at
+        most :data:`SCALAR_KEYS_PER_GROUP` keys per shard it touches.  Such
+        a batch skips the engine: each group is answered by the filter's
+        scalar loop, and the encoding serves only the router pass (which
+        the FPR estimator's feed then reuses).  Without numpy every batch
+        takes that scalar path, routed per key.
         """
         np = vec.numpy_or_none()
         if np is None:
@@ -903,14 +917,63 @@ class ShardedFilterStore:
         return results
 
     def _query_many_vectorized(self, np, batch: "vec.KeyBatch") -> List[bool]:
-        """Engine path of :meth:`query_many`: one partition, one gather."""
+        """Engine path of :meth:`query_many`: one partition, one gather.
+
+        Each touched shard's filter is resolved once, in ascending shard
+        order (a disk tier's shard is looked up in its cache once per
+        window).  When every resolved filter is an HABF of one probe
+        signature, or an empty shard, one two-round program answers the
+        whole window (:func:`repro.core.habf.contains_window`); any other
+        store answers shard by shard.  The counters take one ``bincount``.
+        """
         shards = self._router.shard_of_many(batch)
+        touched = np.unique(shards).tolist()
+        filters = [_resolved(self._filters[shard]) for shard in touched]
+        signatures = {
+            probe_signature(filt)
+            for filt in filters
+            if not isinstance(filt, EmptyShardFilter)
+        }
+        if len(signatures) <= 1 and None not in signatures:
+            results = self._query_window(np, batch, shards, touched, filters)
+        else:
+            results = self._query_shards(np, batch, shards, touched, filters)
+        size = len(self._filters)
+        queries = np.bincount(shards, minlength=size)
+        positives = np.bincount(shards[results], minlength=size)
+        with self._stats_lock:
+            for shard in touched:
+                self._queries[shard] += int(queries[shard])
+                self._positives[shard] += int(positives[shard])
+        return results.tolist()
+
+    def _query_window(self, np, batch, shards, touched, filters):
+        """One window program over every touched HABF shard; rows of empty
+        shards answer False."""
+        habfs: List[object] = []
+        slot = np.full(len(self._filters), -1, dtype=np.intp)
+        for shard, filt in zip(touched, filters):
+            if not isinstance(filt, EmptyShardFilter):
+                slot[shard] = len(habfs)
+                habfs.append(filt)
+        owners = slot[shards]
         results = np.zeros(len(batch), dtype=bool)
-        for shard in np.unique(shards):
+        with stage("shard_probe", shards=len(touched), backend=self._backend_name):
+            if habfs:
+                rows = np.flatnonzero(owners >= 0)
+                sub = batch if rows.size == len(batch) else batch.take(rows)
+                results[rows] = contains_window(
+                    habfs, sub, owners[rows] if len(habfs) > 1 else None
+                )
+        return results
+
+    def _query_shards(self, np, batch, shards, touched, filters):
+        """One engine call per touched shard, on its take of the window."""
+        results = np.zeros(len(batch), dtype=bool)
+        for shard, filt in zip(touched, filters):
             positions = np.flatnonzero(shards == shard)
-            filt = self._filters[int(shard)]
             sub = batch.take(positions)
-            with stage("shard_probe", shard=int(shard), backend=self._backend_name):
+            with stage("shard_probe", shard=shard, backend=self._backend_name):
                 answers = None
                 batch_fn = getattr(filt, "_contains_batch", None)
                 if batch_fn is not None:
@@ -926,10 +989,7 @@ class ShardedFilterStore:
                             count=len(sub.keys),
                         )
             results[positions] = answers
-            with self._stats_lock:
-                self._queries[shard] += int(positions.size)
-                self._positives[shard] += int(np.count_nonzero(answers))
-        return results.tolist()
+        return results
 
     def record_shard_traffic(self, keys: "vec.BatchLike", verdicts: Sequence[bool]):
         """Fold externally-answered traffic into the per-shard counters.

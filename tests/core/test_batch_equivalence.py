@@ -13,6 +13,7 @@ frames.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -31,12 +32,16 @@ from repro.hashing import primitives as scalar_primitives
 from repro.hashing import vectorized
 from repro.hashing.double_hashing import DoubleHashFamily
 from repro.kvstore.filter_policy import AlwaysContainsFilter
+from repro.obs import Registry, Tracer
 from repro.service import codec
+from repro.service import shards as shards_module
+from repro.service.backends import get_backend
 from repro.service.shards import (
     SCALAR_KEYS_PER_GROUP,
     EmptyShardFilter,
     ShardedFilterStore,
 )
+from repro.workloads.shalla import generate_shalla_like
 
 
 def _params(dataset) -> HABFParams:
@@ -90,6 +95,28 @@ def probe_keys(small_shalla):
     return keys
 
 
+#: Serving-window sizes: a few keys, either side of the store's scalar cut
+#: (SCALAR_KEYS_PER_GROUP keys per touched shard), and either side of
+#: vectorized._ROOT_EAGER_ROWS (4,096), where a take stops hashing its
+#: root window's rows eagerly.
+WINDOW_SIZES = (3, 24, 800, 3_000, 5_000)
+
+
+@pytest.fixture(scope="module")
+def window_keys(small_shalla):
+    """Build keys, build negatives and unseen keys, shuffled: 5,200 keys."""
+    unseen = generate_shalla_like(num_positives=1_400, num_negatives=1_400, seed=202)
+    keys = (
+        small_shalla.positives
+        + small_shalla.negatives
+        + unseen.positives
+        + unseen.negatives
+    )
+    random.Random(21).shuffle(keys)
+    assert len(keys) >= max(WINDOW_SIZES)
+    return keys
+
+
 @pytest.fixture(scope="module")
 def built_filters(small_shalla, skewed_costs):
     return {
@@ -99,11 +126,14 @@ def built_filters(small_shalla, skewed_costs):
 
 
 @pytest.mark.parametrize("name", list(FILTER_BUILDERS))
-def test_contains_many_matches_scalar(name, built_filters, probe_keys):
+def test_contains_many_matches_scalar(name, built_filters, probe_keys, window_keys):
     filt = built_filters[name]
-    # A serving-window-sized batch is the other input: its hash passes run
+    # A serving-window-sized batch is another input: its hash passes run
     # the scalar primitive loop (SCALAR_CROSSOVER_ROWS) inside the engine.
-    for keys in (probe_keys, probe_keys[:16]):
+    # The WINDOW_SIZES batches run HABF's two-round program on one filter.
+    windows = [probe_keys, probe_keys[:16]]
+    windows += [window_keys[:size] for size in WINDOW_SIZES]
+    for keys in windows:
         answers = filt.contains_many(keys)
         assert answers == [filt.contains(key) for key in keys]
         assert all(isinstance(answer, bool) for answer in answers)
@@ -128,42 +158,112 @@ def test_zero_false_negatives_through_engine(built_filters, small_shalla):
         assert all(answers), f"{name} dropped a positive key on the batch path"
 
 
-def test_sharded_store_query_many_matches_scalar(small_shalla, probe_keys):
-    # f-habf hashes with a double-hashing family, the default habf with the
-    # Table II family.  With 4 shards the 24- and 96-key windows give shard
-    # groups at or below SCALAR_CROSSOVER_ROWS (32), the full probe groups
-    # well above it.  A lone key, and a window of SCALAR_KEYS_PER_GROUP keys
-    # per shard, take the scalar path; one key more takes the engine again.
+def _spread_window(store, keys, per):
+    """The first keys of ``keys`` that give every shard ``per`` keys."""
+    taken, spread = {}, []
+    for key in keys:
+        shard = store.shard_of(key)
+        if taken.get(shard, 0) < per:
+            taken[shard] = taken.get(shard, 0) + 1
+            spread.append(key)
+    assert len(spread) == per * store.num_shards
+    return spread
+
+
+def _delta_zero_shard(store, shard, small_shalla):
+    """``store`` with ``shard`` rebuilt as an HABF with ∆ = 0 (no
+    HashExpressor): round 1 answers its keys."""
+    keys = [key for key in small_shalla.positives if store.shard_of(key) == shard]
+    filt = HABF.build(
+        keys,
+        params=HABFParams(total_bits=10 * len(keys), k=3, delta=0.0),
+        family=store.filters[shard].bloom.family,
+    )
+    assert filt.expressor is None
+    entry = store.entries[shard]
+    return store.replace_shards({shard: (filt, entry)})
+
+
+def _bloom_shard(store, shard, small_shalla):
+    """``store`` with ``shard`` migrated to the ``bloom`` backend."""
+    keys = [key for key in small_shalla.positives if store.shard_of(key) == shard]
+    filt = get_backend("bloom").create_filter(keys)
+    entry = replace(store.entries[shard], backend_name="bloom")
+    return store.replace_shards({shard: (filt, entry)})
+
+
+@pytest.mark.parametrize("num_shards", [1, 4, 8])
+@pytest.mark.parametrize("backend", ["habf", "f-habf"])
+def test_sharded_store_query_many_matches_scalar(
+    backend, num_shards, small_shalla, probe_keys, window_keys, monkeypatch
+):
+    """Every serving window answers like per-key ``contains``, with the same
+    per-shard counters, whether one two-round program answers all the
+    shards it touches or the store answers shard by shard.
+
+    f-habf hashes with a double-hashing family, the default habf with the
+    Table II family.  A lone key, and a window of SCALAR_KEYS_PER_GROUP
+    keys per shard, take the scalar path; one key more takes the engine
+    again.  Beside the plain store: more shards than keys (empty shards
+    answer False), one shard with ∆ = 0 (round 1 only), and one shard
+    migrated to ``bloom``, which must take the per-shard loop.
+    """
+    programs = []
+    program = shards_module.contains_window
+
+    def counted(filters, batch, owners=None):
+        programs.append(len(filters))
+        return program(filters, batch, owners)
+
+    monkeypatch.setattr(shards_module, "contains_window", counted)
+    built = ShardedFilterStore.build(
+        small_shalla.positives,
+        small_shalla.negatives,
+        num_shards=num_shards,
+        backend=backend,
+    )
+    sparse = ShardedFilterStore.build(
+        small_shalla.positives[:3],
+        small_shalla.negatives[:40],
+        num_shards=4 * num_shards,
+        backend=backend,
+    )
+    assert any(isinstance(f, EmptyShardFilter) for f in sparse.filters)
+    stores = {
+        "plain": built,
+        "empty-shards": sparse,
+        "delta-zero": _delta_zero_shard(built, 0, small_shalla),
+        "one-bloom-shard": _bloom_shard(built, num_shards - 1, small_shalla),
+    }
     per = SCALAR_KEYS_PER_GROUP
-    for backend in ("f-habf", "habf"):
-        batch_store = ShardedFilterStore.build(
-            small_shalla.positives, small_shalla.negatives, num_shards=4, backend=backend
-        )
-        scalar_store = ShardedFilterStore.build(
-            small_shalla.positives, small_shalla.negatives, num_shards=4, backend=backend
-        )
-        taken, spread = {}, []
-        for key in probe_keys[120:]:
-            shard = batch_store.shard_of(key)
-            if taken.get(shard, 0) < per:
-                taken[shard] = taken.get(shard, 0) + 1
-                spread.append(key)
-        assert len(spread) == per * 4
-        windows = [
-            probe_keys[:24],
-            probe_keys[24:120],
-            probe_keys,
-            probe_keys[120:121],
-            spread,
-            spread + probe_keys[:1],
-        ]
+    spread = _spread_window(built, probe_keys[120:], per)
+    windows = [window_keys[:size] for size in WINDOW_SIZES]
+    windows += [probe_keys[120:121], spread, spread + probe_keys[:1]]
+    for label, template in stores.items():
+        batch_store = codec.loads(codec.dumps(template))
+        scalar_store = codec.loads(codec.dumps(template))
+        del programs[:]
         for keys in windows:
             assert batch_store.query_many(keys) == [
                 scalar_store.query(key) for key in keys
-            ], (backend, len(keys))
+            ], (label, len(keys))
         batch_stats = {s.shard: (s.queries, s.positives) for s in batch_store.shard_stats()}
         scalar_stats = {s.shard: (s.queries, s.positives) for s in scalar_store.shard_stats()}
-        assert batch_stats == scalar_stats, backend
+        assert batch_stats == scalar_stats, label
+        # One traced engine window: one shard_probe stage for the program,
+        # carrying the touched shard count, or one per touched shard.
+        spans = []
+        tracer = Tracer(registry=Registry(), sample_rate=1.0, span_log=spans.append)
+        with tracer.activate(tracer.begin()):
+            batch_store.query_many(window_keys[:800])
+        probes = [span["tags"] for span in spans if span["stage"] == "shard_probe"]
+        touched = {batch_store.shard_of(key) for key in window_keys[:800]}
+        if label == "one-bloom-shard":
+            assert programs == [], "a mixed store must answer shard by shard"
+            assert sorted(int(tags["shard"]) for tags in probes) == sorted(touched)
+        else:
+            assert programs, f"{label}: no window ran the two-round program"
+            assert [tags["shards"] for tags in probes] == [str(len(touched))]
 
 
 def test_habf_window_hashes_only_the_router_and_h0_passes(small_shalla, skewed_costs):

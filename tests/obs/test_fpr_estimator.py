@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import compress
 
 import pytest
 
@@ -110,6 +111,86 @@ class TestSampling:
         assert estimator.auto_oracle is False
         estimator.set_key_oracle(["a"])  # key oracle keeps the flag as-is
         assert estimator.auto_oracle is False
+
+
+def _per_positive_sampling(verdicts, rate, rng):
+    """Reference: the indexes ``observe_batch`` sampled when it stepped
+    through every positive verdict to count down each geometric gap."""
+    if rate < 1.0:
+        inv_log_miss = 1.0 / math.log(1.0 - rate)
+        skip = int(math.log(1.0 - rng.random()) * inv_log_miss)
+    else:
+        skip = 0
+    sampled = []
+    for index in compress(range(len(verdicts)), verdicts):
+        if skip > 0:
+            skip -= 1
+            continue
+        if rate < 1.0:
+            skip = int(math.log(1.0 - rng.random()) * inv_log_miss)
+        sampled.append(index)
+    return sampled
+
+
+class TestSamplingLaw:
+    @pytest.mark.parametrize("rate", [0.05, 0.5, 1.0])
+    def test_jumps_sample_what_the_per_positive_loop_sampled(self, rate):
+        """Jumping from one sampled positive to the next draws the same
+        gaps in the same order, so a seeded estimator samples the same keys
+        across batches and keeps the same tallies."""
+        members = {f"member-{i}" for i in range(600)}
+        known = {f"other-{i}" for i in range(0, 600, 3)}
+        costs = {key: float(1 + i % 7) for i, key in enumerate(sorted(known))}
+        traffic = random.Random(5)
+        batches = []
+        for _ in range(40):
+            keys = [
+                f"member-{traffic.randrange(600)}"
+                if traffic.random() < 0.4
+                else f"other-{traffic.randrange(600)}"
+                for _ in range(256)
+            ]
+            verdicts = [key in members or traffic.random() < 0.3 for key in keys]
+            batches.append((keys, verdicts))
+
+        def shard_of(key):
+            return len(key) % 3
+
+        asked = []
+        estimator = FprEstimator(sample_rate=rate, costs=costs, rng=random.Random(11))
+        estimator.set_oracle(lambda key: asked.append(key) or key in members)
+        estimator.set_known_negatives(known)
+        reference_rng = random.Random(11)
+        expected = []
+        for keys, verdicts in batches:
+            estimator.observe_batch(keys, verdicts, shard_of)
+            expected += [
+                keys[index]
+                for index in _per_positive_sampling(verdicts, rate, reference_rng)
+            ]
+        assert asked == expected
+        tallies = {}
+        for key in expected:
+            tally = tallies.setdefault(shard_of(key), [0, 0, 0.0, 0, 0.0])
+            tally[0] += 1
+            if key not in members:
+                cost = costs.get(key, 1.0)
+                tally[1] += 1
+                tally[2] += cost
+                if key in known:
+                    tally[3] += 1
+                    tally[4] += cost
+        observed = {
+            shard: [
+                tally.sampled,
+                tally.false_positives,
+                tally.fp_cost,
+                tally.known_false_positives,
+                tally.known_fp_cost,
+            ]
+            for shard, tally in estimator._tallies.items()
+        }
+        assert observed == tallies
 
 
 class TestServiceConvergence:

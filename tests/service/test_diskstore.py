@@ -435,6 +435,33 @@ def test_small_window_resolves_each_shard_once(tmp_path, ram_store, probe, encod
         assert disk.cache_stats()["hits"] - hits == len(touched)
 
 
+@pytest.mark.parametrize("budget", [0, None])
+def test_engine_window_resolves_each_shard_once(tmp_path, dataset, costs, probe, budget):
+    """An engine-path window on an HABF store runs one two-round program
+    over every shard it touches, yet resolves each of them through the
+    cache exactly once, whether the cache admits nothing or everything."""
+    pytest.importorskip("numpy")
+    ram = ShardedFilterStore.build(
+        dataset.positives,
+        negatives=dataset.negatives,
+        costs=costs,
+        num_shards=4,
+        backend="habf",
+    )
+    with _create(tmp_path, ram, cache_budget=budget) as disk:
+        view = disk.serving_store()
+        for size in (24, 300, len(probe), 24):
+            keys = probe[-size:]
+            stats = disk.cache_stats()
+            before = stats["hits"] + stats["misses"]
+            assert view.query_many(keys) == ram.query_many(keys), size
+            stats = disk.cache_stats()
+            touched = {ram.shard_of(key) for key in keys}
+            assert stats["hits"] + stats["misses"] - before == len(touched), size
+            if budget == 0:
+                assert stats["hits"] == 0 and stats["entries"] == 0
+
+
 # --------------------------------------------------------------------- #
 # Commit protocol: incremental appends, compaction, illegal transitions
 # --------------------------------------------------------------------- #

@@ -24,6 +24,8 @@ from multiprocessing import shared_memory
 import pytest
 
 from repro.errors import CodecError, ServiceError
+from repro.hashing import vectorized as vec
+from repro.obs import FprEstimator
 from repro.service import codec
 from repro.service.aserve import AdaptiveMicroBatcher
 from repro.service.multiproc import (
@@ -144,6 +146,41 @@ class TestReplicaPool:
         assert answer.verdicts == direct.query_many(probe)
         assert answer.generation == 1
         assert pool.query(KEYS[0]) is True
+
+    def test_encoded_window_is_not_encoded_again(self, monkeypatch):
+        """A window that arrives as a ``KeyBatch`` feeds the parent's
+        per-shard counters and FPR estimator without the parent building
+        another ``KeyBatch``."""
+        pytest.importorskip("numpy")
+        pool = ReplicaPool(
+            replicas=1,
+            backend="bloom-dh",
+            num_shards=4,
+            bits_per_key=10.0,
+            request_timeout=30.0,
+            fpr_estimator=FprEstimator(sample_rate=1.0),
+        )
+        try:
+            pool.load(KEYS, negatives=NEGATIVES)
+            keys = KEYS[:200] + NEGATIVES[:200]
+            window = vec.KeyBatch(keys)
+            built = []
+            encode = vec.KeyBatch.__init__
+
+            def counted(self, batch_keys):
+                built.append(len(batch_keys))
+                encode(self, batch_keys)
+
+            monkeypatch.setattr(vec.KeyBatch, "__init__", counted)
+            answer = pool.query_batch(window)
+            assert built == []
+            monkeypatch.undo()
+            assert answer.verdicts == pool.snapshot.store.query_many(keys)
+            counted_queries = sum(s.queries for s in pool.snapshot.store.shard_stats())
+            assert counted_queries == 2 * len(keys)  # the window, then the check
+            assert sum(e.sampled for e in pool.fpr_estimates()) >= 200
+        finally:
+            pool.close()
 
     def test_rejects_before_load_and_bad_batches(self, pool):
         with pytest.raises(ServiceError, match="rejected"):

@@ -189,6 +189,31 @@ def test_small_window_is_routed_once_for_the_fpr_estimator(dataset, monkeypatch)
     assert sum(e.sampled for e in svc.fpr_estimates()) == sum(answer.verdicts)
 
 
+def test_list_window_is_encoded_once_for_the_fpr_estimator(dataset, monkeypatch):
+    """``query_batch`` encodes a plain list once: the store and the
+    estimator's feed share the batch's router pass, so no sampled key is
+    routed again through the scalar ``shard_of``."""
+    pytest.importorskip("numpy")
+    estimator = FprEstimator(sample_rate=1.0)
+    svc = MembershipService(
+        backend="habf", num_shards=4, bits_per_key=10.0, fpr_estimator=estimator
+    )
+    svc.load(dataset.positives, dataset.negatives)
+    scalar_routes = []
+    shard_of = shards.ShardRouter.shard_of
+
+    def counted(self, key):
+        scalar_routes.append(key)
+        return shard_of(self, key)
+
+    monkeypatch.setattr(shards.ShardRouter, "shard_of", counted)
+    keys = dataset.positives[:150] + dataset.negatives[:150]
+    answer = svc.query_batch(keys)
+    assert sum(answer.verdicts) >= 150
+    assert sum(e.sampled for e in svc.fpr_estimates()) == sum(answer.verdicts)
+    assert scalar_routes == []
+
+
 def test_invalid_configuration_rejected():
     with pytest.raises(ServiceError):
         MembershipService(num_shards=0)
