@@ -90,7 +90,6 @@ def rebuild_report(dataset):
         stores["parallel"] = ShardedFilterStore.build(
             dataset.positives,
             workers=PARALLEL_WORKERS,
-            worker_mode="process",
             **build_kwargs,
         )
 

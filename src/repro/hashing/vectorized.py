@@ -646,13 +646,6 @@ _BY_CALLABLE: Dict[Callable[[bytes], int], Callable[[KeyBatch], "np.ndarray"]] =
 }
 
 
-def batch_primitive_for(
-    primitive: Callable[[bytes], int]
-) -> Optional[Callable[[KeyBatch], "np.ndarray"]]:
-    """Return the vectorized twin of a scalar primitive, or ``None``."""
-    return _BY_CALLABLE.get(primitive)
-
-
 #: A sub-batch answers a primitive by slicing its root window's pass.  When
 #: the root has no pass yet, :func:`hash_batch` computes it there eagerly
 #: while the root stays window-sized: the Python column loop dominates at

@@ -29,9 +29,9 @@ blacklist-gateway / LSM read-path setting the paper motivates:
   :class:`SharedFrameArena` lays a whole store's codec frame out in one
   ``multiprocessing.shared_memory`` segment, and :class:`ReplicaPool`, a
   :class:`MembershipService` subclass, runs R worker processes that decode
-  it zero-copy and answer micro-batch windows (pipe dispatch or
-  ``SO_REUSEPORT`` direct accept); its swap rolls the whole fleet, so
-  rebuilds stay generation-consistent.
+  it zero-copy and answer the micro-batch windows the parent dispatches
+  over pipes; its swap rolls the whole fleet, so rebuilds stay
+  generation-consistent.
 * :mod:`repro.service.diskstore` — the disk tier: :class:`DiskShardStore`
   persists every shard's codec frame in a page-oriented file behind an
   atomically-renamed directory, serves cold shards zero-copy off an

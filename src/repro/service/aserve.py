@@ -123,11 +123,10 @@ class AdaptiveMicroBatcher:
         min_wait_ms: Floor on the window (0 = flush as soon as the queue
             goes quiet; raise it to trade latency for larger batches under
             sparse open-loop traffic).
-        executor: Worker pool for engine dispatches.  Defaults to a private
-            pool of ``dispatch_parallelism`` threads.
         dispatch_parallelism: How many flush windows may be in flight at
-            once.  Defaults to the service's ``dispatch_parallelism``
-            attribute when it has one (a
+            once, each on a thread of the batcher's own dispatch pool.
+            Defaults to the service's ``dispatch_parallelism`` attribute
+            when it has one (a
             :class:`~repro.service.multiproc.ReplicaPool` reports its
             replica count) and 1 otherwise.  At 1 — the in-process default —
             dispatches are serialized exactly as before; the GIL makes more
@@ -151,7 +150,6 @@ class AdaptiveMicroBatcher:
         max_batch: int = 256,
         max_wait_ms: float = 2.0,
         min_wait_ms: float = 0.0,
-        executor: Optional[ThreadPoolExecutor] = None,
         tracer: Optional[Tracer] = None,
         dispatch_parallelism: Optional[int] = None,
     ) -> None:
@@ -174,8 +172,7 @@ class AdaptiveMicroBatcher:
         self._max_batch = max_batch
         self._max_wait = max_wait_ms / 1e3
         self._min_wait = min_wait_ms / 1e3
-        self._owns_executor = executor is None
-        self._executor = executor or ThreadPoolExecutor(
+        self._executor = ThreadPoolExecutor(
             max_workers=dispatch_parallelism, thread_name_prefix="aserve-dispatch"
         )
         self._inflight: set = set()
@@ -329,7 +326,8 @@ class AdaptiveMicroBatcher:
         await self.aclose()
 
     async def aclose(self) -> None:
-        """Flush every pending waiter, stop the flusher, release the executor."""
+        """Flush every pending waiter, stop the flusher, release the
+        dispatch pool."""
         self._closed = True
         if self._wake is not None:
             self._wake.set()
@@ -339,8 +337,7 @@ class AdaptiveMicroBatcher:
             self._flusher = None
         if self._inflight:
             await asyncio.gather(*tuple(self._inflight), return_exceptions=True)
-        if self._owns_executor:
-            self._executor.shutdown(wait=True)
+        self._executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------ #
     # Statistics
@@ -672,19 +669,10 @@ class AsyncMembershipServer:
         """The micro-batcher every connection dispatches through."""
         return self._batcher
 
-    async def start_tcp(
-        self, host: str = "127.0.0.1", port: int = 0, reuse_port: bool = False
-    ) -> Tuple[str, int]:
-        """Start the line-protocol listener; returns the bound (host, port).
-
-        ``reuse_port=True`` sets ``SO_REUSEPORT`` before binding, so several
-        processes can listen on the same port and the kernel load-balances
-        accepted connections across them — the direct-accept mode of
-        :class:`~repro.service.multiproc.ReplicaPool`.
-        """
-        kwargs = {"reuse_port": True} if reuse_port else {}
+    async def start_tcp(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
+        """Start the line-protocol listener; returns the bound (host, port)."""
         server = await asyncio.start_server(
-            self._handle_tcp, host, port, limit=_STREAM_LIMIT_BYTES, **kwargs
+            self._handle_tcp, host, port, limit=_STREAM_LIMIT_BYTES
         )
         self._servers.append(server)
         bound = server.sockets[0].getsockname()

@@ -863,7 +863,10 @@ def dumps(obj: Any) -> bytes:
     from repro.baselines.learned.model import KeyScoreModel
     from repro.baselines.learned.slbf import SandwichedLearnedBloomFilter
     from repro.kvstore.filter_policy import AlwaysContainsFilter
+    from repro.service.diskstore import _LazyShardFilter
 
+    if isinstance(obj, _LazyShardFilter):
+        return obj.frame()  # a disk tier's shard: its committed frame, not decoded
     writer = _Writer()
     if isinstance(obj, ShardedFilterStore):
         tag = TAG_SHARDED_STORE

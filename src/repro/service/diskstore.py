@@ -259,7 +259,9 @@ class _LazyShardFilter:
     window, and ``_contains_batch`` / ``_contains_fallback`` /
     ``contains_many`` / ``contains``) plus the ``size_in_bits`` the stats
     layer reads — the latter answered from the directory, so introspection
-    never faults a cold shard in.
+    never faults a cold shard in.  :func:`repro.service.codec.dumps` writes
+    a proxy as its committed :meth:`frame`, so serializing a disk-tier store
+    (a snapshot file, a replication delta) never decodes a shard either.
     """
 
     __slots__ = ("_owner", "_epoch", "_shard")
@@ -306,6 +308,10 @@ class _LazyShardFilter:
 
     def size_in_bits(self) -> int:
         return self._epoch.directory.shards[self._shard].size_in_bits
+
+    def frame(self) -> bytes:
+        """The shard's committed codec frame, checked against the directory."""
+        return DiskShardStore._checked_frame(self._epoch, self._shard)
 
 
 class _FrameCache:
@@ -803,6 +809,19 @@ class DiskShardStore:
         offset = entry.start_page * epoch.directory.page_size
         return epoch.buf[offset : offset + entry.frame_bytes]
 
+    @classmethod
+    def _checked_frame(cls, epoch: _Epoch, shard: int) -> bytes:
+        """One shard's frame bytes, checked against the directory's CRC."""
+        entry = epoch.directory.shards[shard]
+        frame = bytes(cls._frame(epoch, entry))
+        crc = zlib.crc32(frame)
+        if crc != entry.frame_crc:
+            raise CodecError(
+                f"shard {shard} frame checksum mismatch: directory has "
+                f"{entry.frame_crc:#010x}, file has {crc:#010x}"
+            )
+        return frame
+
     def _filter_for(self, epoch: _Epoch, shard: int):
         """Resolve one shard's decoded filter through the LRU (thread-safe)."""
         entry = epoch.directory.shards[shard]
@@ -833,11 +852,7 @@ class DiskShardStore:
         return epoch.view
 
     def materialize(self) -> ShardedFilterStore:
-        """Decode every shard into a plain in-RAM store (no mapping aliases).
-
-        This is what :meth:`MembershipService.save_snapshot` serializes in
-        disk mode — proxies cannot cross the codec, real filters can.
-        """
+        """Decode every shard into a plain in-RAM store (no mapping aliases)."""
         epoch = self._require_epoch()
         directory = epoch.directory
         filters = [
@@ -853,17 +868,9 @@ class DiskShardStore:
         codec; this is the explicit offline scrub.)
         """
         epoch = self._require_epoch()
-        directory = epoch.directory
-        for shard, entry in enumerate(directory.shards):
-            frame = bytes(self._frame(epoch, entry))
-            crc = zlib.crc32(frame)
-            if crc != entry.frame_crc:
-                raise CodecError(
-                    f"shard {shard} frame checksum mismatch: directory has "
-                    f"{entry.frame_crc:#010x}, file has {crc:#010x}"
-                )
-            codec.loads(frame)
-        return len(directory.shards)
+        for shard in range(len(epoch.directory.shards)):
+            codec.loads(self._checked_frame(epoch, shard))
+        return len(epoch.directory.shards)
 
     def _require_epoch(self) -> _Epoch:
         epoch = self._epoch

@@ -22,12 +22,9 @@ The pieces:
   Plugged into :class:`~repro.service.aserve.AdaptiveMicroBatcher` (which
   reads the pool's ``dispatch_parallelism`` and keeps R windows in flight),
   the pool turns R cores into R concurrent engine dispatches behind one
-  listener.
-
-- ``SO_REUSEPORT`` mode — :meth:`ReplicaPool.start_reuseport` has every
-  replica run its own :class:`~repro.service.aserve.AsyncMembershipServer`
-  listening on one shared port; the kernel load-balances accepted
-  connections, removing the front-end process from the data path entirely.
+  listener.  That dispatch is the only way a query reaches a replica, so
+  the parent's registry and FPR estimator see every window, and only the
+  parent builds generations.
 
 Rebuilds stay generation-consistent across the fleet: the parent builds the
 new store and swaps it in like any service, then, still under the swap
@@ -48,19 +45,16 @@ can never unlink a segment the rest of the fleet still serves from
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import gc
 import itertools
 import os
 import queue
-import socket
-import threading
 import time
 import weakref
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import get_context, resource_tracker, shared_memory
 from multiprocessing.reduction import ForkingPickler
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import CodecError, ServiceError
 from repro.hashing import vectorized as vec
@@ -68,7 +62,7 @@ from repro.hashing.base import Key
 from repro.obs import Registry
 from repro.service import codec
 from repro.service.server import BatchAnswer, MembershipService
-from repro.service.shards import ShardedFilterStore
+from repro.service.shards import ShardedFilterStore, _start_context
 
 __all__ = ["SharedFrameArena", "ReplicaPool", "shared_mapping_memory"]
 
@@ -282,57 +276,6 @@ def shared_mapping_memory(pid: int, segment_name: str) -> Optional[Dict[str, int
 # --------------------------------------------------------------------- #
 # Replica worker process
 # --------------------------------------------------------------------- #
-class _ReuseportRunner:
-    """A replica-local asyncio server thread for the ``SO_REUSEPORT`` mode."""
-
-    def __init__(self, service, host: str, port: int, opts: dict) -> None:
-        self._ready = threading.Event()
-        self._error: Optional[str] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self.port: Optional[int] = None
-        self._thread = threading.Thread(
-            target=self._run,
-            args=(service, host, port, opts),
-            name="repro-reuseport",
-            daemon=True,
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise ServiceError("reuseport listener did not start within 30s")
-        if self._error is not None:
-            raise ServiceError(f"reuseport listener failed: {self._error}")
-
-    def _run(self, service, host: str, port: int, opts: dict) -> None:
-        try:
-            asyncio.run(self._serve(service, host, port, opts))
-        except Exception as exc:  # pragma: no cover - propagated via _error
-            self._error = f"{type(exc).__name__}: {exc}"
-            self._ready.set()
-
-    async def _serve(self, service, host: str, port: int, opts: dict) -> None:
-        from repro.service.aserve import AsyncMembershipServer
-
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        try:
-            async with AsyncMembershipServer(service, **opts) as server:
-                _host, bound = await server.start_tcp(host, port, reuse_port=True)
-                self.port = bound
-                self._ready.set()
-                await self._stop_event.wait()
-        except Exception as exc:
-            self._error = f"{type(exc).__name__}: {exc}"
-            self._ready.set()
-
-    def stop(self, timeout: float = 10.0) -> None:
-        loop, event = self._loop, self._stop_event
-        if loop is not None and event is not None and not loop.is_closed():
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(event.set)
-        self._thread.join(timeout=timeout)
-
-
 def _pack_verdicts(verdicts: List[bool]):
     """Verdicts -> a compact wire payload (packed bitmap with numpy)."""
     np = vec.numpy_or_none()
@@ -372,7 +315,6 @@ def _replica_main(conn, index: int, max_batch_size: int) -> None:
     service = MembershipService(registry=registry, max_batch_size=max_batch_size)
     arena: Optional[SharedFrameArena] = None
     disk: Optional[DiskShardStore] = None
-    runner: Optional[_ReuseportRunner] = None
     while True:
         try:
             message = conn.recv()
@@ -445,13 +387,6 @@ def _replica_main(conn, index: int, max_batch_size: int) -> None:
                         },
                     )
                 )
-            elif kind == "listen":
-                if runner is not None:
-                    raise ServiceError("replica is already listening")
-                runner = _ReuseportRunner(service, message[1], message[2], message[3])
-                conn.send(("listening", runner.port))
-            elif kind == "ping":
-                conn.send(("pong", index))
             elif kind == "stop":
                 conn.send(("stopped", index))
                 break
@@ -462,8 +397,6 @@ def _replica_main(conn, index: int, max_batch_size: int) -> None:
                 conn.send(("error", f"{type(exc).__name__}: {exc}"))
             except Exception:
                 break
-    if runner is not None:
-        runner.stop()
     with contextlib.suppress(Exception):
         service._snapshot = None
         gc.collect()
@@ -473,18 +406,6 @@ def _replica_main(conn, index: int, max_batch_size: int) -> None:
             disk.close()
     with contextlib.suppress(Exception):
         conn.close()
-
-
-def _mp_context():
-    """Start-method policy, same reasoning as ``shards._process_pool``."""
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods and threading.active_count() == 1:
-        return multiprocessing.get_context("fork")
-    if "forkserver" in methods:
-        return multiprocessing.get_context("forkserver")
-    return multiprocessing.get_context()  # pragma: no cover - Windows
 
 
 class _Replica:
@@ -537,8 +458,7 @@ class ReplicaPool(MembershipService):
         replicas: Worker process count (the pool's dispatch parallelism).
         request_timeout: Seconds to wait for a free replica, and for a
             replica's answer to a window or a stats request.
-        load_timeout: Seconds to wait for a replica to install a generation
-            or start its ``SO_REUSEPORT`` listener.
+        load_timeout: Seconds to wait for a replica to install a generation.
         start_method: Override the multiprocessing start method (default:
             fork while single-threaded, else forkserver, else spawn).
         options: Every :class:`MembershipService` argument, with the same
@@ -564,7 +484,7 @@ class ReplicaPool(MembershipService):
     ) -> None:
         if replicas < 1:
             raise ServiceError("a replica pool needs at least 1 replica")
-        self._num_replicas = replicas
+        self._replica_count = replicas
         self._request_timeout = request_timeout
         self._load_timeout = load_timeout
         self._start_method = start_method
@@ -574,7 +494,6 @@ class ReplicaPool(MembershipService):
         #: Generation every surviving replica acked at the last completed
         #: roll; the snapshot moves first, so its generation can run ahead.
         self._fleet_generation = 0
-        self._reuseport_socket: Optional[socket.socket] = None
         self._closed = False
         super().__init__(**options)
 
@@ -583,7 +502,7 @@ class ReplicaPool(MembershipService):
         ``repro_replica_*`` family."""
         super()._make_instruments()
         registry, label = self._registry, self._obs_label
-        count = self._num_replicas
+        count = self._replica_count
         windows = registry.counter(
             "repro_replica_windows_total",
             "Micro-batch windows dispatched to each replica",
@@ -620,11 +539,11 @@ class ReplicaPool(MembershipService):
 
     def _spawn(self) -> None:
         context = (
-            _mp_context()
+            _start_context()
             if self._start_method is None
-            else __import__("multiprocessing").get_context(self._start_method)
+            else get_context(self._start_method)
         )
-        for index in range(self._num_replicas):
+        for index in range(self._replica_count):
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_replica_main,
@@ -826,10 +745,6 @@ class ReplicaPool(MembershipService):
                 replica.conn.close()
         self._replicas = []
         self._drop_free_tokens()
-        if self._reuseport_socket is not None:
-            with contextlib.suppress(OSError):
-                self._reuseport_socket.close()
-            self._reuseport_socket = None
         if self._arena is not None:
             self._arena.dispose()
             self._arena = None
@@ -907,46 +822,6 @@ class ReplicaPool(MembershipService):
         return self.query_batch([key]).verdicts[0]
 
     # ------------------------------------------------------------------ #
-    # SO_REUSEPORT direct-accept mode
-    # ------------------------------------------------------------------ #
-    def start_reuseport(
-        self, host: str = "127.0.0.1", port: int = 0, **server_opts
-    ) -> Tuple[str, int]:
-        """Have every replica accept TCP connections on one shared port.
-
-        The parent binds (but never listens on) a ``SO_REUSEPORT`` socket to
-        reserve the port for the pool's lifetime; each replica then runs its
-        own :class:`~repro.service.aserve.AsyncMembershipServer` listening on
-        that port with ``reuse_port=True``, and the kernel load-balances
-        accepted connections across replicas — no dispatcher process in the
-        data path.  ``server_opts`` are forwarded to each replica's server
-        (``max_batch=...``, ``max_wait_ms=...``).  Returns ``(host, port)``.
-        """
-        if not hasattr(socket, "SO_REUSEPORT"):
-            raise ServiceError("SO_REUSEPORT is not available on this platform")
-        if self._closed:
-            raise ServiceError("the replica pool is closed")
-        if not self._replicas:
-            raise ServiceError("the pool has no snapshot yet; call load() first")
-        reserve = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        reserve.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        try:
-            reserve.bind((host, port))
-        except OSError:
-            reserve.close()
-            raise
-        actual_port = reserve.getsockname()[1]
-        self._reuseport_socket = reserve
-        self._exchange(
-            self._acquire_all(),
-            ("listen", host, actual_port, dict(server_opts)),
-            "listening",
-            self._load_timeout,
-            "reuseport listener",
-        )
-        return host, actual_port
-
-    # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     @property
@@ -962,12 +837,7 @@ class ReplicaPool(MembershipService):
     @property
     def dispatch_parallelism(self) -> int:
         """Windows the front-end should keep in flight (= replica count)."""
-        return self._num_replicas
-
-    @property
-    def num_replicas(self) -> int:
-        """Configured replica process count."""
-        return self._num_replicas
+        return self._replica_count
 
     @property
     def arena(self) -> Optional[SharedFrameArena]:
@@ -986,9 +856,7 @@ class ReplicaPool(MembershipService):
 
     def stats_by_replica(self) -> List[dict]:
         """One report per live replica, in index order, over the control
-        channel; includes replica-side queries served through
-        ``SO_REUSEPORT`` listeners, which the parent's dispatch accounting
-        cannot see.
+        channel: the generation each replica installed and what it served.
 
         Holds at most one replica at a time and none while waiting (a
         concurrent swap drains the same free queue), handing back at once
@@ -1037,6 +905,6 @@ class ReplicaPool(MembershipService):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ReplicaPool(replicas={self._num_replicas}, "
+            f"ReplicaPool(replicas={self._replica_count}, "
             f"generation={self.generation}, closed={self._closed})"
         )

@@ -142,10 +142,6 @@ class SnapshotDelta:
         """Shard indexes this delta replaces (empty for full snapshots)."""
         return [patch.shard for patch in self.patches]
 
-    def num_bytes(self) -> int:
-        """Size of this delta's encoded frame."""
-        return len(encode_delta(self))
-
 
 # --------------------------------------------------------------------- #
 # Diffing and applying
@@ -545,7 +541,7 @@ class BuilderPublisher:
         self._label = label or f"pub-{next(_PUBLISHER_IDS)}"
         self._cond = threading.Condition()
         self._retained: "OrderedDict[int, object]" = OrderedDict()
-        self._published_generation = 0
+        self._offered_generation = 0
         self._closed = False
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
@@ -651,8 +647,8 @@ class BuilderPublisher:
             self._retained.move_to_end(generation)
             while len(self._retained) > self._retain:
                 self._retained.popitem(last=False)
-            if generation > self._published_generation:
-                self._published_generation = generation
+            if generation > self._offered_generation:
+                self._offered_generation = generation
             self._cond.notify_all()
         return generation
 
@@ -660,17 +656,6 @@ class BuilderPublisher:
         """Rebuild the builder service, then :meth:`publish` the result."""
         self._service.rebuild(keys, **rebuild_kwargs)
         return self.publish()
-
-    @property
-    def published_generation(self) -> int:
-        """The newest generation offered to followers (0 before any publish)."""
-        return self._published_generation
-
-    @property
-    def retained_generations(self) -> List[int]:
-        """Generations currently diffable as delta bases, oldest first."""
-        with self._cond:
-            return list(self._retained)
 
     def follower_states(self) -> List[Tuple[str, int]]:
         """(label, acknowledged generation) for every connected follower."""
@@ -730,7 +715,7 @@ class BuilderPublisher:
             while True:
                 with self._cond:
                     while not self._closed and (
-                        self._published_generation <= state.generation
+                        self._offered_generation <= state.generation
                         or not self._retained
                     ):
                         self._cond.wait(_SOCKET_TICK_SECONDS)
@@ -760,7 +745,7 @@ class BuilderPublisher:
                         f"expected ACK/NACK, got message type {msg_type}"
                     )
                 lag_gauge.set(
-                    max(0, self._published_generation - state.generation)
+                    max(0, self._offered_generation - state.generation)
                 )
         except (ConnectionError, CodecError, OSError):
             if not self._closed:

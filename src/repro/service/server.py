@@ -925,14 +925,10 @@ apply_to_service`: validates the delta against the serving snapshot,
     def save_snapshot(self, path) -> int:
         """Serialize the serving store to ``path``; returns bytes written.
 
-        In disk mode the lazy epoch view cannot cross the codec; the disk
-        store materializes every shard into plain filters first, so the
-        written frame is identical to what a RAM-mode service would save.
+        In disk mode every shard writes its committed frame undecoded, so
+        the file is identical to what a RAM-mode service would save.
         """
-        store = self._serving_snapshot().store
-        if self._disk is not None:
-            store = self._disk.materialize()
-        return codec.dump(store, path)
+        return codec.dump(self._serving_snapshot().store, path)
 
     @classmethod
     def from_snapshot(

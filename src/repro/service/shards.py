@@ -25,6 +25,7 @@ routing pass that partitions it.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -37,7 +38,7 @@ from repro.hashing import vectorized as vec
 from repro.hashing.base import Key, mix64, normalize_key
 from repro.hashing.primitives import xxhash
 from repro.obs import default_registry, stage
-from repro.service.backends import BackendSpec, resolve_backend
+from repro.service.backends import BUILTIN_BACKENDS, BackendSpec, resolve_backend
 from repro.service.stats import ShardStats
 
 #: Salt separating the fingerprint digest from the routing hash (same 64-bit
@@ -264,8 +265,8 @@ def _observe_build_seconds(backend_name: str, seconds: float) -> None:
     ).labels(backend_name).observe(seconds)
 
 
-def _process_pool(workers: int) -> ProcessPoolExecutor:
-    """A process pool whose start method matches the parent's thread state.
+def _start_context():
+    """The multiprocessing context for build workers and replica processes.
 
     ``fork`` is cheapest and — unlike ``forkserver``/``spawn`` — never
     re-imports ``__main__`` (so it works from a REPL or a stdin script),
@@ -276,17 +277,12 @@ def _process_pool(workers: int) -> ProcessPoolExecutor:
     from a clean single-threaded server process), default context (spawn)
     where neither is available.
     """
-    import multiprocessing
-    import threading
-
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods and threading.active_count() == 1:
-        context = multiprocessing.get_context("fork")
-    elif "forkserver" in methods:
-        context = multiprocessing.get_context("forkserver")
-    else:  # pragma: no cover - Windows
-        context = multiprocessing.get_context()
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        return multiprocessing.get_context("fork")
+    if "forkserver" in methods:
+        return multiprocessing.get_context("forkserver")
+    return multiprocessing.get_context()  # pragma: no cover - Windows
 
 
 class ShardedFilterStore:
@@ -398,20 +394,16 @@ class ShardedFilterStore:
         shard_costs: List[Optional[dict]],
         shards: Sequence[int],
         workers: Optional[int],
-        worker_mode: str,
     ) -> Dict[int, object]:
         """Build the filters for ``shards``, optionally on a worker pool.
 
-        ``worker_mode``: ``"process"`` re-instantiates the (string-named)
-        backend in each worker and ships finished shards back as codec
-        frames — true CPU parallelism, the mode rebuild latency cares about;
-        ``"thread"`` shares the policy object and skips serialization (right
-        for policy *instances* and for backends whose build is numpy-bound);
-        ``"auto"`` picks process for a *built-in* backend name and thread
-        otherwise — a custom ``register_backend`` name may not resolve
-        inside a forkserver/spawn worker's fresh interpreter, so auto never
-        risks it (pass ``worker_mode="process"`` explicitly to assert your
-        registration is importable in workers).
+        A *built-in* backend name builds on process workers, which
+        re-instantiate the backend and ship finished shards back as codec
+        frames — true CPU parallelism, what rebuild latency cares about.
+        Anything else (a policy instance, or a custom ``register_backend``
+        name, which may not resolve inside a forkserver/spawn worker's fresh
+        interpreter) builds on threads that share the policy object and
+        skip serialization.
         """
         built: Dict[int, object] = {}
         pending = []
@@ -429,21 +421,12 @@ class ShardedFilterStore:
                     costs=shard_costs[shard],
                 )
             return built
-        mode = worker_mode
-        if mode == "auto":
-            from repro.service.backends import BUILTIN_BACKENDS
-
-            mode = "process" if backend in BUILTIN_BACKENDS else "thread"
-        if mode == "process":
-            if not isinstance(backend, str):
-                raise ConfigurationError(
-                    "process workers need a registered backend name (the policy "
-                    "is re-instantiated inside each worker); pass "
-                    "worker_mode='thread' to parallelise a policy instance"
-                )
+        if isinstance(backend, str) and backend in BUILTIN_BACKENDS:
             from repro.service import codec
 
-            with _process_pool(pool_size) as executor:
+            with ProcessPoolExecutor(
+                max_workers=pool_size, mp_context=_start_context()
+            ) as executor:
                 futures = {
                     shard: executor.submit(
                         _build_shard_frame,
@@ -457,7 +440,7 @@ class ShardedFilterStore:
                 }
                 for shard, future in futures.items():
                     built[shard] = codec.loads(future.result())
-        elif mode == "thread":
+        else:
             with ThreadPoolExecutor(
                 max_workers=pool_size, thread_name_prefix="shard-build"
             ) as executor:
@@ -472,11 +455,6 @@ class ShardedFilterStore:
                 }
                 for shard, future in futures.items():
                     built[shard] = future.result()
-        else:
-            raise ConfigurationError(
-                f"unknown worker_mode {worker_mode!r}; expected 'auto', "
-                "'process' or 'thread'"
-            )
         return built
 
     @classmethod
@@ -538,7 +516,6 @@ class ShardedFilterStore:
         shard_costs: List[Optional[dict]],
         shards: Sequence[int],
         workers: Optional[int],
-        worker_mode: str,
     ) -> Dict[int, object]:
         """Build filters for ``shards``, grouping them by planned policy.
 
@@ -564,7 +541,6 @@ class ShardedFilterStore:
                     shard_costs,
                     members,
                     workers,
-                    worker_mode,
                 )
             )
             _observe_build_seconds(name, time.perf_counter() - start)
@@ -580,7 +556,6 @@ class ShardedFilterStore:
         backend: BackendSpec = "habf",
         router_seed: int = 0,
         workers: Optional[int] = None,
-        worker_mode: str = "auto",
         shard_backends: Optional[Mapping[int, object]] = None,
         **backend_kwargs,
     ) -> "ShardedFilterStore":
@@ -591,7 +566,7 @@ class ShardedFilterStore:
         it can actually be queried with.
 
         ``workers`` > 1 builds shards concurrently (see
-        :meth:`_build_filters` for the mode semantics); the result is
+        :meth:`_build_filters` for processes versus threads); the result is
         bit-identical to a sequential build because every backend constructs
         deterministically from its shard's keys.  ``shard_backends``
         overrides the backend per shard (see :meth:`_plan_backends`); when
@@ -613,7 +588,6 @@ class ShardedFilterStore:
             shard_costs,
             range(num_shards),
             workers,
-            worker_mode,
         )
         return cls(
             [built[shard] for shard in range(num_shards)],
@@ -634,7 +608,6 @@ class ShardedFilterStore:
         backend: BackendSpec = "habf",
         changed_keys: Optional[Iterable[Key]] = None,
         workers: Optional[int] = None,
-        worker_mode: str = "auto",
         shard_backends: Optional[Mapping[int, object]] = None,
         **backend_kwargs,
     ) -> Tuple["ShardedFilterStore", List[int], List[int]]:
@@ -686,7 +659,6 @@ class ShardedFilterStore:
             shard_costs,
             sorted(dirty),
             workers,
-            worker_mode,
         )
         filters: List[object] = []
         for shard, entry in enumerate(fresh):
@@ -924,7 +896,8 @@ class ShardedFilterStore:
         window).  When every resolved filter is an HABF of one probe
         signature, or an empty shard, one two-round program answers the
         whole window (:func:`repro.core.habf.contains_window`); any other
-        store answers shard by shard.  The counters take one ``bincount``.
+        store answers shard by shard.  The counters take two ``bincount``
+        passes (:meth:`_tally`).
         """
         shards = self._router.shard_of_many(batch)
         touched = np.unique(shards).tolist()
@@ -938,14 +911,19 @@ class ShardedFilterStore:
             results = self._query_window(np, batch, shards, touched, filters)
         else:
             results = self._query_shards(np, batch, shards, touched, filters)
+        self._tally(np, shards, results)
+        return results.tolist()
+
+    def _tally(self, np, shards, hits) -> None:
+        """Add one window to the per-shard counters: ``shards`` routes each
+        key, ``hits`` (a bool array) holds its verdict."""
         size = len(self._filters)
         queries = np.bincount(shards, minlength=size)
-        positives = np.bincount(shards[results], minlength=size)
+        positives = np.bincount(shards[hits], minlength=size)
         with self._stats_lock:
-            for shard in touched:
+            for shard in np.flatnonzero(queries).tolist():
                 self._queries[shard] += int(queries[shard])
                 self._positives[shard] += int(positives[shard])
-        return results.tolist()
 
     def _query_window(self, np, batch, shards, touched, filters):
         """One window program over every touched HABF shard; rows of empty
@@ -1008,12 +986,7 @@ class ShardedFilterStore:
             if not len(batch):
                 return np.zeros(0, dtype=np.int64)
             shards = self._router.shard_of_many(batch)
-            hits = np.asarray(verdicts, dtype=bool)
-            with self._stats_lock:
-                for shard in np.unique(shards):
-                    mask = shards == shard
-                    self._queries[shard] += int(np.count_nonzero(mask))
-                    self._positives[shard] += int(np.count_nonzero(hits[mask]))
+            self._tally(np, shards, np.asarray(verdicts, dtype=bool))
             return shards
         plain = list(keys.keys) if isinstance(keys, vec.KeyBatch) else list(keys)
         shards = [self._router.shard_of(key) for key in plain]

@@ -33,21 +33,28 @@ def _key_for_shard(router: ShardRouter, shard: int, tag: str) -> str:
 # --------------------------------------------------------------------- #
 # Parallel builds
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("worker_mode", ["process", "thread"])
-def test_parallel_build_is_bit_identical_to_sequential(dataset, worker_mode):
+@pytest.mark.parametrize(
+    "backend",
+    [
+        # a built-in name builds on process workers
+        pytest.param("habf", id="process"),
+        # a policy instance builds on threads that share it
+        pytest.param(get_backend("habf"), id="thread"),
+    ],
+)
+def test_parallel_build_is_bit_identical_to_sequential(dataset, backend):
     sequential = ShardedFilterStore.build(
         dataset.positives,
         negatives=dataset.negatives,
         num_shards=NUM_SHARDS,
-        backend="habf",
+        backend=backend,
     )
     parallel = ShardedFilterStore.build(
         dataset.positives,
         negatives=dataset.negatives,
         num_shards=NUM_SHARDS,
-        backend="habf",
+        backend=backend,
         workers=4,
-        worker_mode=worker_mode,
     )
     assert codec.dumps(parallel) == codec.dumps(sequential)
 
@@ -58,30 +65,6 @@ def test_parallel_build_with_empty_shards():
     )
     assert all(store.query_many(["a", "b", "c"]))
     assert store.num_keys() == 3
-
-
-def test_process_workers_reject_policy_instances(dataset):
-    policy = get_backend("bloom", bits_per_key=10.0)
-    with pytest.raises(ConfigurationError, match="worker_mode='thread'"):
-        ShardedFilterStore.build(
-            dataset.positives,
-            num_shards=4,
-            backend=policy,
-            workers=2,
-            worker_mode="process",
-        )
-    # Thread mode handles instances fine (no pickling, shared policy object).
-    store = ShardedFilterStore.build(
-        dataset.positives, num_shards=4, backend=policy, workers=2, worker_mode="thread"
-    )
-    assert all(store.query_many(dataset.positives[:100]))
-
-
-def test_unknown_worker_mode_rejected(dataset):
-    with pytest.raises(ConfigurationError, match="worker_mode"):
-        ShardedFilterStore.build(
-            dataset.positives, num_shards=4, backend="bloom", workers=2, worker_mode="mpi"
-        )
 
 
 # --------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import glob
+import json
 import os
 import pickle
 import signal
@@ -27,7 +28,7 @@ from repro.errors import CodecError, ServiceError
 from repro.hashing import vectorized as vec
 from repro.obs import FprEstimator
 from repro.service import codec
-from repro.service.aserve import AdaptiveMicroBatcher
+from repro.service.aserve import AdaptiveMicroBatcher, AsyncMembershipServer
 from repro.service.multiproc import (
     ReplicaPool,
     SharedFrameArena,
@@ -565,38 +566,43 @@ class TestGenerationConsistency:
 
 
 # --------------------------------------------------------------------- #
-# SO_REUSEPORT direct-accept mode
+# A pool behind the TCP server
 # --------------------------------------------------------------------- #
-@pytest.mark.skipif(
-    not hasattr(__import__("socket"), "SO_REUSEPORT"),
-    reason="SO_REUSEPORT not available",
-)
-class TestReuseport:
-    def test_replicas_accept_directly(self):
+class TestPoolBehindServer:
+    def test_rebuild_line_rolls_every_replica(self):
+        """An ``R`` line on the server's port rebuilds the pool itself: the
+        reply, :attr:`generation`, every replica and the windows after it
+        carry one generation."""
         with ReplicaPool(
             replicas=2, backend="bloom-dh", num_shards=2, bits_per_key=10.0
         ) as pool:
-            pool.load(KEYS)
-            host, port = pool.start_reuseport()
+            pool.load(KEYS[:500])
 
             async def drive():
-                lines = []
-                for _ in range(6):
+                async with AsyncMembershipServer(pool) as server:
+                    host, port = await server.start_tcp()
                     reader, writer = await asyncio.open_connection(host, port)
-                    writer.write(f"M {KEYS[0]} {KEYS[1]} certainly-negative\n".encode())
+                    spec = json.dumps({"keys": KEYS[:100]})
+                    writer.write(f"R {spec}\n".encode())
                     await writer.drain()
-                    lines.append((await reader.readline()).decode().strip())
+                    rebuilt = (await reader.readline()).decode().split()
                     writer.close()
                     await writer.wait_closed()
-                return lines
+                    windows = []
+                    for _ in range(8):
+                        reader, writer = await asyncio.open_connection(host, port)
+                        writer.write(f"M {KEYS[0]} {KEYS[1]} {KEYS[2]}\n".encode())
+                        await writer.drain()
+                        windows.append((await reader.readline()).decode().split())
+                        writer.close()
+                        await writer.wait_closed()
+                    return rebuilt, windows
 
-            for line in asyncio.run(drive()):
-                generation, *verdicts = line.split()[1:]
-                assert generation == "1"
-                assert verdicts[:2] == ["1", "1"]
-            # the kernel spread connections over replica-resident servers
-            per_replica = pool.stats_by_replica()
-            assert sum(report["batches"] for report in per_replica) == 6
+            rebuilt, windows = asyncio.run(drive())
+            assert rebuilt == ["R", str(pool.generation)]
+            assert pool.generation == 2
+            assert [report["generation"] for report in pool.stats_by_replica()] == [2, 2]
+            assert windows == [["V", "2", "1", "1", "1"]] * 8
 
 
 # --------------------------------------------------------------------- #

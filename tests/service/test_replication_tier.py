@@ -465,6 +465,32 @@ def test_disk_follower_commits_delta_incrementally(tmp_path, dataset, probe):
     disk.close()
 
 
+def test_disk_builder_publishes_committed_frames(tmp_path, dataset, probe):
+    """A disk-tier builder serves lazy shards; they ship as their committed
+    frames, undecoded and byte-identical to a RAM builder's."""
+    builder = _service(store_path=tmp_path / "builder", cache_budget=None)
+    builder.load(dataset.positives)
+    ram = _service()
+    ram.load(dataset.positives)
+    assert codec.dumps(builder.snapshot.store) == codec.dumps(ram.snapshot.store)
+    with BuilderPublisher(builder, registry=Registry()) as pub:
+        host, port = pub.start()
+        pub.publish()
+        follower = _service()
+        with FollowerClient(follower, host, port, registry=Registry()) as client:
+            assert client.wait_for_generation(1, timeout=30)
+            pub.publish_rebuild(dataset.positives + ["repl-disk-builder-key"])
+            assert client.wait_for_generation(2, timeout=30)
+            assert client._applied_full.value == 1
+            assert client._applied_delta.value == 1
+            # shipping read frames off the mapping; no shard was decoded
+            assert builder.disk_store.cache_stats()["misses"] == 0
+            assert follower.generation == builder.generation == 2
+            assert follower.query("repl-disk-builder-key")
+            assert follower.query_many(probe) == builder.query_many(probe)
+    builder.disk_store.close()
+
+
 #: Fault points before the atomic DIRECTORY rename leave the old generation;
 #: from the rename on, the new one is durable (same matrix as the diskstore
 #: crash battery — replication rides the identical commit protocol).

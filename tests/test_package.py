@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import errors
+from repro import errors, service
+from repro.service import multiproc, replication
 
 
 class TestPublicApi:
@@ -17,8 +18,11 @@ class TestPublicApi:
         assert repro.__version__.count(".") == 2
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), f"__all__ lists missing attribute {name}"
+        for module in (repro, service, multiproc, replication):
+            for name in module.__all__:
+                assert hasattr(module, name), (
+                    f"{module.__name__}.__all__ lists missing attribute {name}"
+                )
 
     def test_headline_classes_are_exported(self):
         assert repro.HABF.algorithm_name == "HABF"
